@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -51,6 +53,7 @@ func TestMemoization(t *testing.T) {
 	if !bytes.Equal(second.Plan, first.Plan) {
 		t.Error("memoized plan is not bit-identical to the original")
 	}
+	requireCompact(t, first.Plan)
 	// The seed shapes the race, so it partitions the memo key even when
 	// the model cache (compile-side) still hits.
 	third := decodeSchedule(t, post(s, q+"&seed=2", body))
@@ -113,8 +116,82 @@ func TestMemoizationSurvivesRestart(t *testing.T) {
 	if !bytes.Equal(replayed.Plan, first.Plan) || replayed.Makespan != first.Makespan {
 		t.Error("post-restart memo answer is not bit-identical")
 	}
+	requireCompact(t, replayed.Plan)
 	if st := s2.stats(); st.Cache.Compiles != 0 {
 		t.Errorf("memo replay compiled %d models, want 0", st.Cache.Compiles)
+	}
+}
+
+// TestMemoReplaysIndentedJournal pins journal compatibility across the
+// switch to compact plan JSON: a record written the way earlier servers
+// wrote it — json.Marshal of a memo record around the trimmed, indented
+// plan — still replays, and its plan goes out byte for byte as a fresh
+// compact response's.
+func TestMemoReplaysIndentedJournal(t *testing.T) {
+	leakCheck(t)
+	path := filepath.Join(t.TempDir(), "j")
+	body := benchBody(t, "d695")
+	q := "procs=6&cpu=leon&power=0.5&bist=3&search=quick"
+	fresh := decodeSchedule(t, post(newServer(serverConfig{}), q, body))
+	requireCompact(t, fresh.Plan)
+
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, fresh.Plan, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	indented.WriteByte('\n') // as the indenting encoder ended it
+	rec, err := json.Marshal(struct {
+		System   string          `json:"system"`
+		Makespan int             `json:"makespan"`
+		Best     string          `json:"best"`
+		Plan     json.RawMessage `json:"plan"`
+	}{fresh.System, fresh.Makespan, fresh.Best, json.RawMessage(bytes.TrimSpace(indented.Bytes()))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qv, err := url.ParseQuery(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := parseScheduleParams(qv, serverConfig{}.normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := openStore(t, path, resultstore.Options{})
+	if err := old.Put(p.memoKey([]byte(body)), rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newServer(serverConfig{store: openStore(t, path, resultstore.Options{})})
+	w := post(s, q, body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("old-format memo record answered %d: %s", w.Code, w.Body.String())
+	}
+	replayed := decodeSchedule(t, w)
+	if replayed.Cache != "memo" {
+		t.Fatalf("cache = %q, want memo", replayed.Cache)
+	}
+	if !bytes.Equal(replayed.Plan, fresh.Plan) {
+		t.Errorf("old-format memo plan differs from a fresh compact response:\n%s\n%s", replayed.Plan, fresh.Plan)
+	}
+	if replayed.Makespan != fresh.Makespan || replayed.Best != fresh.Best {
+		t.Errorf("memo answer %d/%s, fresh %d/%s", replayed.Makespan, replayed.Best, fresh.Makespan, fresh.Best)
+	}
+}
+
+// requireCompact fails the test unless raw is compact JSON: nothing a
+// compactor would remove.
+func requireCompact(t *testing.T, raw []byte) {
+	t.Helper()
+	var c bytes.Buffer
+	if err := json.Compact(&c, raw); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(c.Bytes(), raw) {
+		t.Errorf("plan is not compact JSON: %.120s", raw)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"noctest/internal/core"
 	"noctest/internal/fault"
 	"noctest/internal/itc02"
-	"noctest/internal/plan"
 	"noctest/internal/resultstore"
 	"noctest/internal/soc"
 	"noctest/internal/socgen"
@@ -403,15 +402,32 @@ func (p scheduleParams) memoKey(body []byte) string {
 	return p.cacheKey(body) + fmt.Sprintf("|search=%s|seed=%d|lanes=%d", p.search, p.seed, p.lanes)
 }
 
-// memoRecord is the journalled form of one complete result: exactly
-// the response fields a replay reproduces bit-identically. Timings and
-// per-strategy statistics stay out — they describe the original run,
-// not the answer.
+// memoHead is the journalled form of one complete result, less its
+// plan: exactly the response fields a replay reproduces
+// bit-identically. Timings and per-strategy statistics stay out — they
+// describe the original run, not the answer.
+type memoHead struct {
+	System   string `json:"system"`
+	Makespan int    `json:"makespan"`
+	Best     string `json:"best"`
+}
+
+// memoRecord is one journal record: the head's fields, then the plan's
+// compact JSON, written by withPlan and read back verbatim.
 type memoRecord struct {
-	System   string          `json:"system"`
-	Makespan int             `json:"makespan"`
-	Best     string          `json:"best"`
-	Plan     json.RawMessage `json:"plan"`
+	memoHead
+	Plan json.RawMessage `json:"plan"`
+}
+
+// memoResponse renders a journal record as a memo-hit response. The
+// journalled plan bytes go out as they were written: compact, the one
+// plan format.
+func memoResponse(raw []byte) ([]byte, error) {
+	var rec memoRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		return nil, err
+	}
+	return withPlan(&resultHead{System: rec.System, Makespan: rec.Makespan, Best: rec.Best, Cache: "memo"}, rec.Plan)
 }
 
 // panicStrategy is the fault injector's sched.panic payload: a
@@ -422,7 +438,7 @@ type panicStrategy struct{}
 
 func (panicStrategy) Name() string { return "fault.panic" }
 
-func (panicStrategy) Schedule(context.Context, *core.Model) (*plan.Plan, error) {
+func (panicStrategy) Search(context.Context, *core.Model, *core.Incumbent) (core.Candidate, error) {
 	panic("injected strategy panic (sched.panic)")
 }
 
@@ -507,19 +523,39 @@ type strategyJSON struct {
 	Err       string  `json:"err,omitempty"`
 }
 
-// scheduleResponse is the final JSON document of a /schedule call (and
-// the "result" event of a streamed one).
-type scheduleResponse struct {
-	Event      string          `json:"event,omitempty"`
-	System     string          `json:"system"`
-	Makespan   int             `json:"makespan"`
-	Best       string          `json:"best"`
-	Cache      string          `json:"cache"` // hit | miss | bypass
-	CompileMs  float64         `json:"compile_ms"`
-	ScheduleMs float64         `json:"schedule_ms"`
-	Partial    bool            `json:"partial"`
-	Strategies []strategyJSON  `json:"strategies"`
-	Plan       json.RawMessage `json:"plan"`
+// resultHead is the final JSON document of a /schedule call (and the
+// "result" event of a streamed one), less its last field, the plan.
+type resultHead struct {
+	Event      string         `json:"event,omitempty"`
+	System     string         `json:"system"`
+	Makespan   int            `json:"makespan"`
+	Best       string         `json:"best"`
+	Cache      string         `json:"cache"` // hit | miss | bypass | memo
+	CompileMs  float64        `json:"compile_ms"`
+	ScheduleMs float64        `json:"schedule_ms"`
+	Partial    bool           `json:"partial"`
+	Strategies []strategyJSON `json:"strategies"`
+}
+
+// withPlan returns head's JSON object with one more, last field,
+// "plan", holding planJSON verbatim. The plan is encoded once,
+// compactly, by plan.WriteJSON; splicing those bytes in, instead of
+// wrapping them in a json.RawMessage, spares encoding/json re-scanning
+// and re-compacting the largest field of every response and journal
+// record. The result has room for a trailing newline.
+func withPlan(head any, planJSON []byte) ([]byte, error) {
+	b, err := json.Marshal(head)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, len(b)+len(planJSON)+len(`,"plan":}`)+1)
+	out = append(out, b[:len(b)-1]...) // the object minus its closing brace
+	if len(b) > 2 {
+		out = append(out, ',')
+	}
+	out = append(out, `"plan":`...)
+	out = append(out, planJSON...)
+	return append(out, '}'), nil
 }
 
 // streamEvent is one NDJSON line before the result: the model became
@@ -587,20 +623,11 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		memoKey = p.memoKey(body)
 		if !p.stream {
 			if raw, ok := s.cfg.store.Get(memoKey); ok {
-				var rec memoRecord
-				if err := json.Unmarshal(raw, &rec); err == nil {
+				if out, err := memoResponse(raw); err == nil {
 					s.memoHits.Add(1)
 					s.okCount.Add(1)
 					w.Header().Set("Content-Type", "application/json")
-					enc := json.NewEncoder(w)
-					enc.SetIndent("", "  ")
-					enc.Encode(&scheduleResponse{
-						System:   rec.System,
-						Makespan: rec.Makespan,
-						Best:     rec.Best,
-						Cache:    "memo",
-						Plan:     rec.Plan,
-					})
+					w.Write(append(out, '\n'))
 					return
 				}
 				// An undecodable record is treated as a miss; the journal
@@ -765,7 +792,7 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	resp := scheduleResponse{
+	resp := resultHead{
 		System:     m.System().Name,
 		Makespan:   res.Plan.Makespan(),
 		Best:       res.Best,
@@ -787,19 +814,30 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Strategies = append(resp.Strategies, sj)
 	}
+	// The plan is encoded exactly once; the response, the stream's
+	// result event and the journal record all splice in these bytes.
 	var planBuf bytes.Buffer
 	if err := res.Plan.WriteJSON(&planBuf); err != nil {
 		s.serverErrs.Add(1)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	resp.Plan = json.RawMessage(bytes.TrimSpace(planBuf.Bytes()))
+	planJSON := bytes.TrimSpace(planBuf.Bytes())
+	if stream != nil {
+		resp.Event = "result"
+	}
+	out, err := withPlan(&resp, planJSON)
+	if err != nil {
+		s.serverErrs.Add(1)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	// Journal complete results only: a partial plan depends on when the
 	// deadline fired, a complete one is a deterministic function of the
 	// memo key. A failed journal append is counted, never fatal — losing
 	// a memo costs a future re-race, not this answer.
 	if memoKey != "" && !resp.Partial {
-		rec, merr := json.Marshal(memoRecord{System: resp.System, Makespan: resp.Makespan, Best: resp.Best, Plan: resp.Plan})
+		rec, merr := withPlan(&memoHead{System: resp.System, Makespan: resp.Makespan, Best: resp.Best}, planJSON)
 		if merr == nil {
 			merr = s.cfg.store.Put(memoKey, rec)
 		}
@@ -810,16 +848,11 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.okCount.Add(1)
-	if stream != nil {
-		resp.Event = "result"
-		stream.Encode(&resp)
-		flush()
-		return
+	if stream == nil {
+		w.Header().Set("Content-Type", "application/json")
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(&resp)
+	w.Write(append(out, '\n'))
+	flush()
 }
 
 // statsResponse is the /stats document; the load benchmark diffs it

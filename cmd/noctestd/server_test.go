@@ -36,6 +36,13 @@ func post(s *server, query, body string) *httptest.ResponseRecorder {
 	return w
 }
 
+// scheduleResponse is the whole result document as a client decodes
+// it: the server writes a resultHead and splices the plan in after it.
+type scheduleResponse struct {
+	resultHead
+	Plan json.RawMessage `json:"plan"`
+}
+
 // decodeSchedule parses a 200 response.
 func decodeSchedule(t *testing.T, w *httptest.ResponseRecorder) scheduleResponse {
 	t.Helper()
@@ -58,9 +65,15 @@ func TestScheduleCacheHitMiss(t *testing.T) {
 	body := benchBody(t, "d695")
 	q := "procs=6&cpu=leon&power=0.5&bist=3&search=quick"
 
-	first := decodeSchedule(t, post(s, q, body))
+	w := post(s, q, body)
+	first := decodeSchedule(t, w)
 	if first.Cache != "miss" {
 		t.Errorf("first request cache = %q, want miss", first.Cache)
+	}
+	// One compact line whose last field is the plan, spliced verbatim.
+	raw := w.Body.Bytes()
+	if bytes.Count(raw, []byte("\n")) != 1 || !bytes.HasSuffix(raw, append([]byte(`"plan":`+string(first.Plan)), "}\n"...)) {
+		t.Errorf("response is not one compact line ending in its plan: %.200s", raw)
 	}
 	second := decodeSchedule(t, post(s, q, body))
 	if second.Cache != "hit" {

@@ -44,7 +44,7 @@ func TestLowerBoundHoldsForEveryStrategy(t *testing.T) {
 				t.Fatalf("%s/%s: degenerate bound %v", benchName, regime.name, bound)
 			}
 			for _, sched := range DefaultPortfolio(3) {
-				p, err := sched.Schedule(ctx, m)
+				p, err := searchPlan(ctx, sched, m)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", benchName, regime.name, sched.Name(), err)
 				}

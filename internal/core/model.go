@@ -311,9 +311,9 @@ type scratch struct {
 	// activation time, existence — into one array, so the per-placement
 	// scan walks a couple of cache lines instead of three parallel
 	// slices, and checkpoint captures copy one slice instead of three.
-	fr    []frontier
-	lines *noc.Timelines
-	profile   *power.Profile
+	fr      []frontier
+	lines   *noc.Timelines
+	profile *power.Profile
 	// chain and trial hold candidate segment start times while placing
 	// one core: trial is the interface currently being scanned, chain
 	// the best chain found so far (the buffers swap instead of copying).

@@ -124,7 +124,7 @@ func TestModelSharedAcrossGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := ListScheduler{LookaheadFastestFinish, ProcessorsFirst}
-	want, err := sched.Schedule(context.Background(), m)
+	want, err := searchPlan(context.Background(), sched, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestModelSharedAcrossGoroutines(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 5; rep++ {
-				p, err := sched.Schedule(context.Background(), m)
+				p, err := searchPlan(context.Background(), sched, m)
 				if err != nil {
 					errs[g] = err
 					return

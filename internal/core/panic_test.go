@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"noctest/internal/plan"
 	"noctest/internal/soc"
 )
 
@@ -16,7 +15,7 @@ import (
 type panickingScheduler struct{}
 
 func (panickingScheduler) Name() string { return "test.panic" }
-func (panickingScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
+func (panickingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent) (Candidate, error) {
 	panic("injected strategy panic")
 }
 

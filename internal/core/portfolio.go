@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"time"
 
@@ -31,25 +32,24 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("core: scheduler %s panicked: %v", e.Scheduler, e.Value)
 }
 
-// runShielded runs one strategy with panic isolation: a panic becomes
-// a *PanicError result instead of unwinding into the worker pool.
-func runShielded(ctx context.Context, s Scheduler, m *Model, inc *Incumbent) (p *plan.Plan, err error) {
+// runShielded runs one strategy's search with panic isolation: a panic
+// becomes a *PanicError result instead of unwinding into the worker
+// pool.
+func runShielded(ctx context.Context, s Scheduler, m *Model, inc *Incumbent) (c Candidate, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			p, err = nil, &PanicError{Scheduler: s.Name(), Value: v, Stack: string(debug.Stack())}
+			c, err = Candidate{}, &PanicError{Scheduler: s.Name(), Value: v, Stack: string(debug.Stack())}
 		}
 	}()
-	if bs, ok := s.(BoundedScheduler); ok {
-		return bs.ScheduleBounded(ctx, m, inc)
-	}
-	return s.Schedule(ctx, m)
+	return s.Search(ctx, m, inc)
 }
 
 // Portfolio races a set of schedulers over a goroutine worker pool and
-// keeps the minimum-makespan plan. The system is compiled once into a
-// Model shared by every strategy and worker; each strategy replays the
-// model with its own search, so the per-strategy cost is search, not
-// recompilation. The zero value races DefaultPortfolio(0) on GOMAXPROCS
+// builds the plan of the minimum-makespan candidate. The system is
+// compiled once into a Model shared by every strategy and worker; each
+// strategy replays the model with its own search, so the per-strategy
+// cost is search, not recompilation, and only the winner pays for a
+// plan. The zero value races DefaultPortfolio(0) on GOMAXPROCS
 // workers.
 type Portfolio struct {
 	// Schedulers is the strategy set to race; nil selects
@@ -59,24 +59,25 @@ type Portfolio struct {
 	// select GOMAXPROCS.
 	Workers int
 	// Progress, when non-nil, receives one event per completed strategy
-	// whose validated plan strictly improves on every strategy completed
-	// before it in the same run — the anytime incumbent stream a serving
-	// frontend forwards to its caller. Events are delivered serially (the
-	// portfolio holds a lock across the call), so the callback needs no
-	// locking of its own but must return promptly. The stream is
-	// observational only: completion order depends on goroutine
-	// interleaving, so the event sequence may differ between runs, but
-	// the run's final result never does — selection still happens after
-	// the race from the full result set, in portfolio order.
+	// whose candidate makespan strictly improves on every strategy
+	// completed before it in the same run — the anytime incumbent
+	// stream a serving frontend forwards to its caller. Events are
+	// delivered serially (the portfolio holds a lock across the call),
+	// so the callback needs no locking of its own but must return
+	// promptly. The stream is observational only: completion order
+	// depends on goroutine interleaving, so the event sequence may
+	// differ between runs, but the run's final result never does —
+	// selection still happens after the race from the full result set,
+	// in portfolio order.
 	Progress func(ProgressEvent)
 }
 
 // ProgressEvent is one live observation of a portfolio run: a strategy
-// finished with a validated plan better than any completed before it.
+// finished with a candidate better than any completed before it.
 type ProgressEvent struct {
 	// Scheduler is the strategy that produced the improvement.
 	Scheduler string
-	// Makespan is the improved plan's total test time.
+	// Makespan is the improved candidate's makespan.
 	Makespan int
 	// Elapsed is the strategy's wall time within the run.
 	Elapsed time.Duration
@@ -86,7 +87,8 @@ type ProgressEvent struct {
 type VariantResult struct {
 	// Scheduler is the strategy name.
 	Scheduler string
-	// Makespan is the plan's total test time, 0 when the run failed.
+	// Makespan is the strategy's candidate makespan, 0 when the run
+	// failed or its candidate was rejected at plan build.
 	Makespan int
 	// Elapsed is the strategy's wall time.
 	Elapsed time.Duration
@@ -137,26 +139,33 @@ func (pf Portfolio) ScheduleBest(ctx context.Context, sys *soc.System, opts Opti
 }
 
 // ScheduleModel races the portfolio's schedulers concurrently over one
-// precompiled model and returns the minimum-makespan plan. Every
-// candidate is re-checked with plan.Validate before it may win; ties go
-// to the earliest scheduler in portfolio order, which makes the result
-// deterministic for a fixed scheduler set regardless of goroutine
-// interleaving. The engine is an anytime search: when the context
-// expires after at least one strategy has finished, the best completed
-// plan is returned (interrupted strategies record their context error
-// in Results). An error is returned only when the context ends with no
-// plan in hand or every strategy fails.
+// precompiled model and returns the plan of the minimum-makespan
+// candidate. Strategies return makespan-only candidates; the winner
+// alone is built into a plan, by one Model.Plan call that validates it.
+// Every returned plan is therefore valid: a candidate whose plan fails
+// validation, or replays to a makespan other than the one its strategy
+// reported, gets that strategy's Err set and the next-best candidate is
+// built instead. Ties go to the earliest scheduler in portfolio order,
+// which makes the result deterministic for a fixed scheduler set
+// regardless of goroutine interleaving. The engine is an anytime
+// search: when the context expires after at least one strategy has
+// finished, the best completed candidate is built — outside the
+// deadline, so the partial answer still arrives — and returned
+// (interrupted strategies record their context error in Results). An
+// error is returned only when the context ends with no candidate in
+// hand or every strategy fails.
 //
-// Before the race starts, the portfolio's deterministic list-rule
-// members are replayed once (makespan only, microseconds each) to seed
-// a shared Incumbent, which every BoundedScheduler in the race consumes
-// for early-abort pruning: the fast greedy results immediately tighten
-// the bound inside every concurrent anneal/restart chain. The incumbent
-// is sealed once the race begins — see Incumbent for why live feeding
-// would trade the engine's determinism contract for nothing.
+// The portfolio's deterministic list-rule members run first, serially
+// (makespan only, microseconds each): their candidates are their
+// results, and they seed a shared Incumbent, which every search in the
+// race consumes for early-abort pruning: the fast greedy results
+// immediately tighten the bound inside every concurrent anneal/restart
+// chain. The incumbent is sealed once the race begins — see Incumbent
+// for why live feeding would trade the engine's determinism contract
+// for nothing.
 //
 // ScheduleModel may be called concurrently on the same model: every
-// piece of run state — the incumbent, the plan/result slices, the
+// piece of run state — the incumbent, the candidate/result slices, the
 // progress stream, each strategy's evaluator and rng — is allocated per
 // call, and the only state the calls share through the model is the
 // scratch pool (checked out per pass) and the atomic telemetry
@@ -172,30 +181,53 @@ func (pf Portfolio) ScheduleModel(ctx context.Context, m *Model) (*PortfolioResu
 		// configure Options get lanes without building a scheduler set.
 		scheds = LanePortfolio(0, m.opts.Lanes)
 	}
-	workers := pf.Workers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scheds) {
-		workers = len(scheds)
-	}
 
-	inc := NewIncumbent()
-	for _, s := range scheds {
-		if ls, ok := s.(ListScheduler); ok {
-			if ms, err := m.Makespan(ctx, ls.Variant, m.Order(ls.Priority)); err == nil {
-				inc.Tighten(ms)
-			}
-		}
-	}
-
-	plans := make([]*plan.Plan, len(scheds))
+	cands := make([]Candidate, len(scheds))
 	results := make([]VariantResult, len(scheds))
-	jobs := make(chan int)
 	// Progress state is per run, never per model: two requests racing the
 	// same cached model each see only their own improvement stream.
 	var progressMu sync.Mutex
 	progressBest := -1
+	finish := func(i int, c Candidate, err error, elapsed time.Duration) {
+		res := VariantResult{Scheduler: scheds[i].Name(), Elapsed: elapsed, Err: err}
+		if err == nil {
+			res.Makespan = c.Makespan
+			cands[i] = c
+			if pf.Progress != nil {
+				progressMu.Lock()
+				if progressBest < 0 || res.Makespan < progressBest {
+					progressBest = res.Makespan
+					pf.Progress(ProgressEvent{Scheduler: res.Scheduler, Makespan: res.Makespan, Elapsed: res.Elapsed})
+				}
+				progressMu.Unlock()
+			}
+		}
+		results[i] = res
+	}
+
+	inc := NewIncumbent()
+	var race []int
+	for i, s := range scheds {
+		if _, ok := s.(ListScheduler); !ok {
+			race = append(race, i)
+			continue
+		}
+		start := time.Now()
+		c, err := runShielded(ctx, s, m, nil)
+		if err == nil {
+			inc.Tighten(c.Makespan)
+		}
+		finish(i, c, err, time.Since(start))
+	}
+
+	workers := pf.Workers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > len(race) {
+		workers = len(race)
+	}
+	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -203,31 +235,13 @@ func (pf Portfolio) ScheduleModel(ctx context.Context, m *Model) (*PortfolioResu
 			defer wg.Done()
 			for i := range jobs {
 				start := time.Now()
-				p, err := runShielded(ctx, scheds[i], m, inc)
-				if err == nil {
-					if verr := p.Validate(); verr != nil {
-						err = fmt.Errorf("core: %s produced invalid plan: %w", scheds[i].Name(), verr)
-					}
-				}
-				res := VariantResult{Scheduler: scheds[i].Name(), Elapsed: time.Since(start), Err: err}
-				if err == nil {
-					res.Makespan = p.Makespan()
-					plans[i] = p
-					if pf.Progress != nil {
-						progressMu.Lock()
-						if progressBest < 0 || res.Makespan < progressBest {
-							progressBest = res.Makespan
-							pf.Progress(ProgressEvent{Scheduler: res.Scheduler, Makespan: res.Makespan, Elapsed: res.Elapsed})
-						}
-						progressMu.Unlock()
-					}
-				}
-				results[i] = res
+				c, err := runShielded(ctx, scheds[i], m, inc)
+				finish(i, c, err, time.Since(start))
 			}
 		}()
 	}
 feed:
-	for i := range scheds {
+	for _, i := range race {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
@@ -239,32 +253,45 @@ feed:
 	close(jobs)
 	wg.Wait()
 
-	out := &PortfolioResult{Results: results}
-	bestIdx := -1
-	for i, p := range plans {
-		if p == nil {
+	// Build the winner: candidates in (makespan, portfolio order), the
+	// first whose plan builds, validates and reproduces its makespan
+	// wins. The build ignores the deadline — it is one pass, and a
+	// deadline that fired mid-race must still yield the anytime plan.
+	var ranked []int
+	for i, r := range results {
+		if r.Scheduler != "" && r.Err == nil {
+			ranked = append(ranked, i)
+		}
+	}
+	sort.SliceStable(ranked, func(a, b int) bool {
+		return cands[ranked[a]].Makespan < cands[ranked[b]].Makespan
+	})
+	buildCtx := context.WithoutCancel(ctx)
+	for _, i := range ranked {
+		c := cands[i]
+		p, err := m.Plan(buildCtx, c.Variant, c.Order, c.Algorithm)
+		if err == nil && p.Makespan() != c.Makespan {
+			err = fmt.Errorf("reported makespan %d, its order replays to %d", c.Makespan, p.Makespan())
+		}
+		if err != nil {
+			results[i].Err = fmt.Errorf("core: %s candidate rejected: %w", results[i].Scheduler, err)
+			results[i].Makespan = 0
 			continue
 		}
-		if bestIdx < 0 || p.Makespan() < plans[bestIdx].Makespan() {
-			bestIdx = i
+		return &PortfolioResult{Plan: p, Best: results[i].Scheduler, Results: results}, nil
+	}
+
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	firstErr := results[0].Err
+	for _, r := range results {
+		if r.Err != nil {
+			firstErr = r.Err
+			break
 		}
 	}
-	if bestIdx < 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		firstErr := results[0].Err
-		for _, r := range results {
-			if r.Err != nil {
-				firstErr = r.Err
-				break
-			}
-		}
-		return nil, fmt.Errorf("core: every portfolio strategy failed: %w", firstErr)
-	}
-	out.Plan = plans[bestIdx]
-	out.Best = results[bestIdx].Scheduler
-	return out, nil
+	return nil, fmt.Errorf("core: every portfolio strategy failed: %w", firstErr)
 }
 
 // BatchJob is one cell of a batch run: either a precompiled model or a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,16 @@ import (
 	"noctest/internal/plan"
 	"noctest/internal/soc"
 )
+
+// searchPlan runs one strategy's search on m and builds its candidate
+// into a plan, as a one-member portfolio would.
+func searchPlan(ctx context.Context, s Scheduler, m *Model) (*plan.Plan, error) {
+	c, err := s.Search(ctx, m, nil)
+	if err != nil {
+		return nil, err
+	}
+	return m.Plan(ctx, c.Variant, c.Order, c.Algorithm)
+}
 
 // smallPortfolio is a reduced-budget portfolio for fast tests: both
 // paper variants plus both seeded searches with trimmed budgets.
@@ -206,7 +217,7 @@ func TestSearchSchedulersValidAndSeedSensitive(t *testing.T) {
 		AnnealingScheduler{Variant: LookaheadFastestFinish, Seed: 9, Steps: 60},
 	} {
 		t.Run(sched.Name(), func(t *testing.T) {
-			a, err := sched.Schedule(context.Background(), m)
+			a, err := searchPlan(context.Background(), sched, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -216,7 +227,7 @@ func TestSearchSchedulersValidAndSeedSensitive(t *testing.T) {
 			if a.Algorithm != sched.Name() {
 				t.Errorf("plan algorithm %q, want %q", a.Algorithm, sched.Name())
 			}
-			b, err := sched.Schedule(context.Background(), m)
+			b, err := searchPlan(context.Background(), sched, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -383,14 +394,14 @@ func TestOptionsLanesWired(t *testing.T) {
 	}
 }
 
-// countingScheduler wraps a Scheduler and tracks how many Schedule
+// countingScheduler wraps a Scheduler and tracks how many Search
 // calls run concurrently, so tests can pin the worker-pool bound.
 type countingScheduler struct {
 	Scheduler
 	cur, max *int32
 }
 
-func (c countingScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
+func (c countingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent) (Candidate, error) {
 	n := atomic.AddInt32(c.cur, 1)
 	for {
 		old := atomic.LoadInt32(c.max)
@@ -399,7 +410,7 @@ func (c countingScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, 
 		}
 	}
 	defer atomic.AddInt32(c.cur, -1)
-	return c.Scheduler.Schedule(ctx, m)
+	return c.Scheduler.Search(ctx, m, inc)
 }
 
 // TestLanesRespectWorkerBound checks the -workers/-lanes interaction:
@@ -548,5 +559,106 @@ func TestPortfolioProgressStream(t *testing.T) {
 	last := events[len(events)-1]
 	if last.Makespan != res.Makespan() {
 		t.Errorf("last event makespan %d != final result %d", last.Makespan, res.Makespan())
+	}
+}
+
+// lyingScheduler reports a candidate its order does not back: Makespan
+// claims a value the order never replays to, or Order is not a
+// permutation at all.
+type lyingScheduler struct {
+	name string
+	lie  func(m *Model) Candidate
+}
+
+func (l lyingScheduler) Name() string { return l.name }
+func (l lyingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent) (Candidate, error) {
+	return l.lie(m), nil
+}
+
+// TestPortfolioRejectsUnbackedCandidates pins the winner-build check:
+// a candidate whose order replays to a makespan other than the one its
+// strategy reported, or does not build at all, loses its strategy an
+// Err, and the next-best candidate is built and wins instead.
+func TestPortfolioRejectsUnbackedCandidates(t *testing.T) {
+	sys := buildSystem(t, "d695", 6, soc.Leon())
+	m, err := Compile(sys, Options{PowerLimitFraction: 0.5, BISTPatternFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := []Scheduler{
+		ListScheduler{GreedyFirstAvailable, ProcessorsFirst},
+		ListScheduler{LookaheadFastestFinish, VolumeDescending},
+	}
+	want, err := Portfolio{Schedulers: honest}.ScheduleModel(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	understated := lyingScheduler{name: "test.understated", lie: func(m *Model) Candidate {
+		return Candidate{Variant: LookaheadFastestFinish, Order: m.DefaultOrder(), Makespan: 1, Algorithm: "understated"}
+	}}
+	repeated := lyingScheduler{name: "test.repeated", lie: func(m *Model) Candidate {
+		order := make([]int, len(m.DefaultOrder())) // core 0 over and over
+		return Candidate{Variant: LookaheadFastestFinish, Order: order, Makespan: 2, Algorithm: "repeated"}
+	}}
+	var events []ProgressEvent
+	pf := Portfolio{
+		Schedulers: append([]Scheduler{understated, repeated}, honest...),
+		Progress:   func(ev ProgressEvent) { events = append(events, ev) },
+	}
+	res, err := pf.ScheduleModel(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Best != want.Best || res.Makespan() != want.Makespan() || !reflect.DeepEqual(res.Plan.Entries, want.Plan.Entries) {
+		t.Errorf("winner %s/%d, want the honest best %s/%d", res.Best, res.Makespan(), want.Best, want.Makespan())
+	}
+	if err := res.Plan.Validate(); err != nil {
+		t.Fatalf("winning plan invalid: %v", err)
+	}
+	for i, r := range res.Results[:2] {
+		if r.Err == nil || r.Makespan != 0 {
+			t.Errorf("result %d (%s): err %v, makespan %d; want a rejection with no makespan", i, r.Scheduler, r.Err, r.Makespan)
+		}
+	}
+	if got := res.Results[0].Err; got == nil || !strings.Contains(got.Error(), "replays to") {
+		t.Errorf("understated candidate's error %v does not name the makespan mismatch", got)
+	}
+	for _, r := range res.Results[2:] {
+		if r.Err != nil {
+			t.Errorf("honest strategy %s failed: %v", r.Scheduler, r.Err)
+		}
+	}
+	// Progress reports candidates as they finish, before any is built.
+	if len(events) == 0 || events[len(events)-1].Makespan != 1 {
+		t.Errorf("progress %+v, want the understated candidate's makespan last", events)
+	}
+}
+
+// TestQuickRunBuildsOnePlan pins "one plan per run": a run of the seven
+// list rules replays each order once, in the incumbent-seeding pass,
+// and then builds the winner's plan once — 8 orders on the model's
+// counter, where building every member's plan would take 14.
+func TestQuickRunBuildsOnePlan(t *testing.T) {
+	sys := buildSystem(t, "p22810", 8, soc.Leon())
+	m, err := Compile(sys, Options{PowerLimitFraction: 0.5, BISTPatternFactor: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	quick := DefaultPortfolio(1)[:7]
+	for _, s := range quick {
+		if _, ok := s.(ListScheduler); !ok {
+			t.Fatalf("default member %s is not a list rule", s.Name())
+		}
+	}
+	before := m.SearchStats().Orders
+	res, err := Portfolio{Schedulers: quick, Workers: 1}.ScheduleModel(context.Background(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.SearchStats().Orders - before; got != 8 {
+		t.Errorf("quick run replayed %d orders, want 8 (7 seeding passes + 1 winner build)", got)
+	}
+	if err := res.Plan.Validate(); err != nil {
+		t.Fatalf("winning plan invalid: %v", err)
 	}
 }

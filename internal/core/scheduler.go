@@ -6,25 +6,47 @@ import (
 	"math"
 	"math/rand"
 	"sync/atomic"
-
-	"noctest/internal/plan"
 )
 
 // Scheduler is one pluggable search strategy over a compiled Model: it
-// plans the complete test of the model's system and returns a validated
-// plan. The model is shared — a portfolio compiles once and hands the
-// same model to every strategy and worker — so implementations must
-// treat it as read-only, must be deterministic for a fixed
-// configuration (searches take an explicit seed) and must honour
-// context cancellation promptly. Variant and priority are per-strategy
-// choices: a strategy picks its own interface-choice rule and core
-// orders; the model's Options supply everything else.
+// searches core orders for the complete test of the model's system and
+// returns its best order as a Candidate, not as a plan — the portfolio
+// builds and validates a plan for the winning candidate only. The model
+// is shared — a portfolio compiles once and hands the same model to
+// every strategy and worker — so implementations must treat it as
+// read-only, must be deterministic for a fixed configuration (searches
+// take an explicit seed) and must honour context cancellation promptly.
+// Variant and priority are per-strategy choices: a strategy picks its
+// own interface-choice rule and core orders; the model's Options supply
+// everything else.
 type Scheduler interface {
-	// Name identifies the strategy in per-variant statistics and plan
-	// algorithm records.
+	// Name identifies the strategy in per-variant statistics.
 	Name() string
-	// Schedule searches m and returns the best plan found.
-	Schedule(ctx context.Context, m *Model) (*plan.Plan, error)
+	// Search searches m and returns the best candidate found. It may
+	// abort evaluations that the incumbent proves irrelevant, and must
+	// return the same candidate for a fixed (model, seed,
+	// incumbent-at-entry) regardless of goroutine interleaving. A nil
+	// incumbent is a valid empty bound.
+	Search(ctx context.Context, m *Model, inc *Incumbent) (Candidate, error)
+}
+
+// Candidate is one strategy's search result: the best core order it
+// found, the interface-choice rule it was scored under, and the
+// makespan that order replays to. It is a promise of a plan, not a plan:
+// Model.Plan(ctx, Variant, Order, Algorithm) turns it into one, and the
+// portfolio does so for its winner only, rejecting the candidate if the
+// built plan fails validation or its makespan differs from Makespan.
+type Candidate struct {
+	// Variant is the interface-choice rule Order was scored under.
+	Variant Variant
+	// Order is the core order, as indexes into the model's cores. It
+	// may share the model's cached priority orders: treat it as
+	// read-only.
+	Order []int
+	// Makespan is the makespan Order replays to under Variant.
+	Makespan int
+	// Algorithm is recorded in the built plan's algorithm field.
+	Algorithm string
 }
 
 // Incumbent is the best-makespan bound a portfolio run shares across
@@ -87,19 +109,6 @@ func (inc *Incumbent) Tighten(ms int) bool {
 	}
 }
 
-// BoundedScheduler is a Scheduler that can additionally prune its
-// search with a shared incumbent bound. Portfolio runs prefer this
-// entry point; Schedule must behave exactly like ScheduleBounded with
-// an empty incumbent.
-type BoundedScheduler interface {
-	Scheduler
-	// ScheduleBounded searches m, aborting evaluations that the
-	// incumbent proves irrelevant. It must return the same plan for a
-	// fixed (model, seed, incumbent-at-entry) regardless of goroutine
-	// interleaving.
-	ScheduleBounded(ctx context.Context, m *Model, inc *Incumbent) (*plan.Plan, error)
-}
-
 // ListScheduler is the deterministic single-pass list scheduler the
 // paper describes, parameterised by interface-choice rule and core
 // ordering. Its Variant and Priority override the compiled options'
@@ -114,10 +123,16 @@ func (l ListScheduler) Name() string {
 	return fmt.Sprintf("%s/%s", l.Variant, l.Priority)
 }
 
-// Schedule runs one list-scheduling pass.
-func (l ListScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
+// Search runs one list-scheduling pass, makespan only; the incumbent is
+// not consulted, since a single pass has nothing to prune against.
+func (l ListScheduler) Search(ctx context.Context, m *Model, _ *Incumbent) (Candidate, error) {
+	order := m.Order(l.Priority)
+	ms, err := m.Makespan(ctx, l.Variant, order)
+	if err != nil {
+		return Candidate{}, err
+	}
 	algorithm := fmt.Sprintf("%s/%s/%s", l.Variant, l.Priority, m.Options().Application)
-	return m.Plan(ctx, l.Variant, m.Order(l.Priority), algorithm)
+	return Candidate{Variant: l.Variant, Order: order, Makespan: ms, Algorithm: algorithm}, nil
 }
 
 // searchEval scores one order for a search chain: through the
@@ -139,11 +154,11 @@ func searchEval(ctx context.Context, m *Model, ev *Evaluator, fullReplay bool, v
 // RandomRestartScheduler is a multi-start randomized-priority search:
 // it schedules the default priority order first, then a fixed number of
 // random core orders — half fresh permutations, half local
-// perturbations of the default order — and keeps the best plan. The
+// perturbations of the default order — and keeps the best order. The
 // search is deterministic for a fixed seed. Each restart is one replay
 // through the incremental kernel, pruned against the tighter of the
 // search's own best and the portfolio incumbent; only the winning order
-// is rebuilt into a full plan.
+// becomes the search's candidate.
 type RandomRestartScheduler struct {
 	// Variant is the interface-choice rule applied to every restart.
 	Variant Variant
@@ -176,19 +191,13 @@ func (r RandomRestartScheduler) restarts() int {
 	return r.Restarts
 }
 
-// Schedule runs the multi-start search without an incumbent.
-func (r RandomRestartScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
-	return r.ScheduleBounded(ctx, m, nil)
-}
-
-// ScheduleBounded runs the multi-start search. A restart is aborted as
+// Search runs the multi-start search. A restart is aborted as
 // soon as it provably cannot strictly improve on the search's own best
 // order, nor on the shared incumbent: a restart pruned at the incumbent
 // could at best tie a plan the portfolio already holds, and ties lose
 // to the earlier strategy anyway, so pruning never changes the
 // portfolio outcome.
-func (r RandomRestartScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *Incumbent) (*plan.Plan, error) {
-	algorithm := r.Name()
+func (r RandomRestartScheduler) Search(ctx context.Context, m *Model, inc *Incumbent) (Candidate, error) {
 	ev := m.NewEvaluator(r.Variant)
 	defer ev.Close()
 	ev.SetTrustedOrders(true) // orders are swaps/shuffles of a valid permutation
@@ -222,7 +231,7 @@ func (r RandomRestartScheduler) ScheduleBounded(ctx context.Context, m *Model, i
 
 	if ms, pruned, err := searchEval(ctx, m, ev, r.FullReplay, r.Variant, base, bound()); err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Candidate{}, ctx.Err()
 		}
 		firstErr = err
 	} else {
@@ -241,7 +250,7 @@ func (r RandomRestartScheduler) ScheduleBounded(ctx context.Context, m *Model, i
 		ms, pruned, err := searchEval(ctx, m, ev, r.FullReplay, r.Variant, order, bound())
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return Candidate{}, ctx.Err()
 			}
 			if firstErr == nil {
 				firstErr = err
@@ -251,12 +260,12 @@ func (r RandomRestartScheduler) ScheduleBounded(ctx context.Context, m *Model, i
 		keep(order, ms, pruned)
 	}
 	if bestMs < 0 {
-		return nil, firstErr
+		return Candidate{}, firstErr
 	}
 	// Deliberately no inc.Tighten here: the incumbent is sealed during
 	// the race (see Incumbent) — publishing a mid-race improvement would
 	// make sibling searches' pruning depend on finish order.
-	return m.Plan(ctx, r.Variant, bestOrder, algorithm)
+	return Candidate{Variant: r.Variant, Order: bestOrder, Makespan: bestMs, Algorithm: r.Name()}, nil
 }
 
 // perturb applies n random pair swaps to order in place.
@@ -377,19 +386,13 @@ func acceptanceBound(curMs int, temp, u float64) int {
 	return curMs + d
 }
 
-// Schedule runs the annealing search without an incumbent.
-func (a AnnealingScheduler) Schedule(ctx context.Context, m *Model) (*plan.Plan, error) {
-	return a.ScheduleBounded(ctx, m, nil)
-}
-
-// ScheduleBounded runs the annealing search. The shared incumbent caps
+// Search runs the annealing search. The shared incumbent caps
 // each step's acceptance bound (never below the current makespan, so
 // improving moves always evaluate): uphill wandering above the best
 // plan the portfolio already holds is cut off early, deterministically,
 // because the incumbent is sealed before the race starts.
-func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *Incumbent) (*plan.Plan, error) {
+func (a AnnealingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent) (Candidate, error) {
 	steps := a.steps()
-	algorithm := a.Name()
 	rng := rand.New(rand.NewSource(a.Seed))
 	ev := m.NewEvaluator(a.Variant)
 	defer ev.Close()
@@ -402,21 +405,24 @@ func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *
 	curMs, _, err := searchEval(ctx, m, ev, a.FullReplay, a.Variant, order, noBound)
 	for probe := 0; err != nil && probe < 8; probe++ {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Candidate{}, ctx.Err()
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		curMs, _, err = searchEval(ctx, m, ev, a.FullReplay, a.Variant, order, noBound)
 	}
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return Candidate{}, ctx.Err()
 		}
-		return nil, err
+		return Candidate{}, err
 	}
 	bestMs := curMs
 	bestOrder := append([]int(nil), order...)
+	best := func() Candidate {
+		return Candidate{Variant: a.Variant, Order: bestOrder, Makespan: bestMs, Algorithm: a.Name()}
+	}
 	if len(order) < 2 {
-		return m.Plan(ctx, a.Variant, bestOrder, algorithm)
+		return best(), nil
 	}
 	n := len(order)
 	window := annealTailWindow(n)
@@ -441,7 +447,7 @@ func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *
 	t0 := 0.05 * float64(curMs)
 	for step := 0; step < steps; step++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return Candidate{}, err
 		}
 		// Move kernel, tuned for the incremental kernel's cost model: a
 		// neighbour costs only the replay from its earlier swapped
@@ -476,7 +482,7 @@ func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *
 		candMs, pruned, err := searchEval(ctx, m, ev, a.FullReplay, a.Variant, order, bound)
 		if err != nil {
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return Candidate{}, ctx.Err()
 			}
 			order[i], order[j] = order[j], order[i] // infeasible move, undo
 		} else if pruned {
@@ -525,7 +531,7 @@ func (a AnnealingScheduler) ScheduleBounded(ctx context.Context, m *Model, inc *
 	}
 	// No inc.Tighten: the incumbent is sealed during the race (see
 	// Incumbent and the matching note in RandomRestartScheduler).
-	return m.Plan(ctx, a.Variant, bestOrder, algorithm)
+	return best(), nil
 }
 
 // DefaultPortfolio returns the standard scheduler set ScheduleBest

@@ -158,11 +158,12 @@ func (p *Plan) SegmentsFor(coreID int) []Entry {
 	return out
 }
 
-// ByStart returns the entries sorted by start time (then core ID).
+// ByStart returns the entries sorted by start time (then core ID). The
+// sort is stable, so a slice already in that order comes back unchanged.
 func (p *Plan) ByStart() []Entry {
 	out := make([]Entry, len(p.Entries))
 	copy(out, p.Entries)
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
 			return out[i].Start < out[j].Start
 		}
@@ -207,9 +208,13 @@ func (p *Plan) Utilization() map[string]float64 {
 }
 
 // PeakPower recomputes the maximum concurrent draw from the entries.
-func (p *Plan) PeakPower() float64 {
+func (p *Plan) PeakPower() float64 { return peakPower(p.Entries) }
+
+// peakPower is the maximum concurrent draw of entries. Loads are summed
+// in slice order, so the last bit of the result can depend on it.
+func peakPower(entries []Entry) float64 {
 	t := power.NewTracker(0)
-	for _, e := range p.Entries {
+	for _, e := range entries {
 		// Reservations were feasible when created; an unlimited tracker
 		// cannot fail.
 		if err := t.Add(e.Start, e.End, e.Power); err != nil {

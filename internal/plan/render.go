@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -141,21 +142,27 @@ type tile struct {
 	Y int `json:"y"`
 }
 
-// WriteJSON emits the plan as indented JSON with summary fields.
-// Preemptive plans record each segment's index and chain length;
-// single-segment entries keep the legacy record shape. ParseJSON reads
-// the format back.
+// WriteJSON emits the plan as compact JSON with summary fields, ended
+// by a newline. This is the one plan format: noctestd splices these
+// bytes verbatim into its responses and memo journal, and readers who
+// want it indented pipe it through a formatter such as jq. Preemptive
+// plans record each segment's index and chain length; single-segment
+// entries keep the legacy record shape. ParseJSON reads the format back,
+// and any indentation of it.
 func (p *Plan) WriteJSON(w io.Writer) error {
+	entries := p.ByStart()
 	out := planJSON{
 		System:         p.System,
 		Algorithm:      p.Algorithm,
 		PowerLimit:     p.PowerLimit,
 		ExclusiveLinks: p.ExclusiveLinks,
 		Makespan:       p.Makespan(),
-		PeakPower:      p.PeakPower(),
-		Notes:          p.Notes,
+		// Summed in the written order, so a parsed-back plan writes the
+		// same bits.
+		PeakPower: peakPower(entries),
+		Notes:     p.Notes,
 	}
-	for _, e := range p.ByStart() {
+	for _, e := range entries {
 		je := entryJSON{
 			CoreID:          e.CoreID,
 			CoreName:        e.CoreName,
@@ -181,16 +188,16 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 		}
 		out.Entries = append(out.Entries, je)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
 }
 
 // ParseJSON reads a plan previously written by WriteJSON, including
 // legacy records without segment or exclusive-link fields (which parse
 // as unsegmented packet-switched plans). The derived makespan and
-// peak-power fields are recomputed, not trusted; call Validate to
-// check the scheduling invariants.
+// peak-power fields are recomputed, not trusted. ParseJSON rejects only
+// what would stop the plan from being written back: an empty test
+// window, negative power, or a peak power that overflows. Call Validate
+// to check the scheduling invariants.
 func ParseJSON(r io.Reader) (*Plan, error) {
 	var in planJSON
 	dec := json.NewDecoder(r)
@@ -223,6 +230,12 @@ func ParseJSON(r io.Reader) (*Plan, error) {
 		if e.Segments == 0 {
 			e.Segments = 1
 		}
+		if e.End <= e.Start {
+			return nil, fmt.Errorf("plan: parse: core %d has empty window [%d,%d)", je.CoreID, e.Start, e.End)
+		}
+		if e.Power < 0 {
+			return nil, fmt.Errorf("plan: parse: core %d has negative power %g", je.CoreID, e.Power)
+		}
 		switch je.InterfaceKind {
 		case ATE.String():
 			e.InterfaceKind = ATE
@@ -238,6 +251,9 @@ func ParseJSON(r io.Reader) (*Plan, error) {
 			e.PathOut = append(e.PathOut, noc.Coord{X: tl.X, Y: tl.Y})
 		}
 		p.Entries = append(p.Entries, e)
+	}
+	if math.IsInf(peakPower(p.ByStart()), 0) {
+		return nil, fmt.Errorf("plan: parse: peak power overflows")
 	}
 	return p, nil
 }

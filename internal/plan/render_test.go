@@ -76,6 +76,15 @@ func TestWriteJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
+	// The one plan format is compact: a single line, nothing a
+	// compactor would remove.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if want := append(compact.Bytes(), '\n'); !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("WriteJSON is not compact JSON ending in a newline:\n%s", buf.Bytes())
+	}
 	if decoded.System != "sample" || decoded.Makespan != 160 || decoded.PeakPower != 700 {
 		t.Errorf("decoded header = %+v", decoded)
 	}

@@ -172,11 +172,11 @@ func RunPortfolioGrid(ctx context.Context, g GridSpec, pf core.Portfolio) ([]Gri
 			}
 		}
 		if baseline == 0 {
-			p, err := greedy.Schedule(ctx, jobs[i].Model)
+			c, err := greedy.Search(ctx, jobs[i].Model, nil)
 			if err != nil {
 				return nil, fmt.Errorf("report: %s greedy baseline: %w", res.Label, err)
 			}
-			baseline = p.Makespan()
+			baseline = c.Makespan
 		}
 		rows[i].Greedy = baseline
 		if rows[i].Greedy > 0 {
