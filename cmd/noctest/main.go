@@ -86,7 +86,6 @@ type config struct {
 	all       bool
 	seed      int64
 	workers   int
-	lanes     int
 	timeout   time.Duration
 	benchJSON string
 
@@ -125,8 +124,7 @@ func main() {
 	flag.BoolVar(&c.portfolio, "portfolio", false, "race the full scheduler portfolio and keep the best plan")
 	flag.BoolVar(&c.all, "all", false, "sweep every benchmark x {power, reuse, links} through the portfolio engine")
 	flag.Int64Var(&c.seed, "seed", 1, "seed for the portfolio's randomized searches")
-	flag.IntVar(&c.workers, "workers", 0, "concurrent scheduler runs (0: GOMAXPROCS); lanes share this pool, so total scheduling goroutines never exceed it")
-	flag.IntVar(&c.lanes, "lanes", 0, "extra independently-seeded annealing lanes added to portfolio runs (small tail-window moves on the kernel's delta path)")
+	flag.IntVar(&c.workers, "workers", 0, "concurrent scheduler runs (0: GOMAXPROCS)")
 	flag.DurationVar(&c.timeout, "timeout", 0, "overall deadline for portfolio/batch runs (0: none)")
 	flag.StringVar(&c.benchJSON, "bench-json", "", "write the machine-readable perf trajectory (BENCH_schedule.json) to this path and exit")
 	flag.IntVar(&c.sweep, "sweep", 0, "run the scenario-sweep verification engine over this many generated systems and exit non-zero on any oracle violation")
@@ -152,8 +150,7 @@ func main() {
 		"bist": true, "variant": true, "priority": true, "exclusive-links": true,
 		"app": true, "wrapper": true, "verify": true, "format": true, "width": true,
 		"portfolio": true, "all": true, "bench-json": true, "topology": true,
-		"failed-links": true, "lanes": true,
-		"preempt": true, "max-segments": true, "resume-cost": true,
+		"failed-links": true, "preempt": true, "max-segments": true, "resume-cost": true,
 	}
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "bench" {
@@ -168,8 +165,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "noctest: -%s has no effect with -bench-json: it measures the canonical leon/full-reuse/power=0.5 configuration\n", f.Name)
 		case (c.portfolio || c.all) && (f.Name == "variant" || f.Name == "priority"):
 			fmt.Fprintf(os.Stderr, "noctest: -%s has no effect with -portfolio/-all: every portfolio strategy sets its own rule\n", f.Name)
-		case f.Name == "lanes" && !c.portfolio && !c.all && c.benchJSON == "":
-			fmt.Fprintln(os.Stderr, "noctest: -lanes has no effect without -portfolio/-all/-bench-json: lanes are portfolio members")
 		}
 	})
 
@@ -183,9 +178,6 @@ func main() {
 // the -cpuprofile/-memprofile flags request, so perf work on the engine
 // can attach profiles of exactly the workload under discussion.
 func run(c config) error {
-	if c.lanes < 0 {
-		return fmt.Errorf("invalid -lanes %d: lane count cannot be negative", c.lanes)
-	}
 	if c.timeout < 0 {
 		// A negative deadline used to be silently ignored (the > 0 guard
 		// in dispatch dropped it), turning a typo like -timeout -2m into
@@ -325,7 +317,7 @@ func (c config) options() (core.Options, error) {
 func (c config) schedule(ctx context.Context, sys *soc.System, opts core.Options) error {
 	var p *plan.Plan
 	if c.portfolio {
-		pf := core.Portfolio{Schedulers: core.LanePortfolio(c.seed, c.lanes), Workers: c.workers}
+		pf := core.Portfolio{Schedulers: core.DefaultPortfolio(c.seed), Workers: c.workers}
 		res, err := pf.ScheduleBest(ctx, sys, opts)
 		if err != nil {
 			return err
@@ -434,9 +426,6 @@ func runServe(ctx context.Context, c config) error {
 	}
 	q.Set("search", "full")
 	q.Set("seed", strconv.FormatInt(c.seed, 10))
-	if c.lanes > 0 {
-		q.Set("lanes", strconv.Itoa(c.lanes))
-	}
 	if c.timeout > 0 {
 		q.Set("timeout", c.timeout.String())
 	}
@@ -514,7 +503,7 @@ func (c config) gridBenchmarks() []string {
 func runGrid(ctx context.Context, c config) error {
 	grid := report.GridSpec{Benchmarks: c.gridBenchmarks(), Processor: c.cpu, BISTFactor: c.bist,
 		Topology: c.topology, FailedLinks: c.failed, FailedLinkSeed: c.seed}
-	pf := core.Portfolio{Schedulers: core.LanePortfolio(c.seed, c.lanes), Workers: c.workers}
+	pf := core.Portfolio{Schedulers: core.DefaultPortfolio(c.seed), Workers: c.workers}
 	rows, err := report.RunPortfolioGrid(ctx, grid, pf)
 	if err != nil {
 		return err
@@ -524,21 +513,11 @@ func runGrid(ctx context.Context, c config) error {
 }
 
 // runBenchJSON measures the portfolio on each benchmark and writes the
-// machine-readable perf trajectory. With -lanes > 0 the trajectory
-// carries both configurations — the laneless quality path and the
-// lane-extended portfolio — as separate records distinguished by each
-// record's "lanes" key, so one regeneration refreshes the whole file.
+// machine-readable perf trajectory.
 func runBenchJSON(ctx context.Context, c config) error {
-	bench, err := report.RunScheduleBench(ctx, c.gridBenchmarks(), c.seed, c.workers, 0)
+	bench, err := report.RunScheduleBench(ctx, c.gridBenchmarks(), c.seed, c.workers)
 	if err != nil {
 		return err
-	}
-	if c.lanes > 0 {
-		laneBench, err := report.RunScheduleBench(ctx, c.gridBenchmarks(), c.seed, c.workers, c.lanes)
-		if err != nil {
-			return err
-		}
-		bench.Records = append(bench.Records, laneBench.Records...)
 	}
 	// Refreshing an existing trajectory preserves the hand-maintained
 	// baseline blocks (and any other keys the generator does not own).

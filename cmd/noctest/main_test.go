@@ -77,37 +77,6 @@ func TestRunPortfolio(t *testing.T) {
 	}
 }
 
-// TestRunPortfolioLanes drives -portfolio -lanes and checks the lane
-// walkers joined the race: the default (lanes-less) run must not show
-// window annealers, the explicit run must race exactly two more
-// strategies, all on the window move kernel.
-func TestRunPortfolioLanes(t *testing.T) {
-	base := config{bench: "d695", cpu: "leon", procs: 6, reuse: -1,
-		variant: "greedy", priority: "processors-first", app: "bist",
-		bist: 1, format: "summary", width: 80,
-		portfolio: true, seed: 7}
-	out, err := capture(t, func() error { return run(base) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "window=") {
-		t.Errorf("default run raced lane walkers:\n%s", out)
-	}
-
-	withLanes := base
-	withLanes.lanes = 2
-	out, err = capture(t, func() error { return run(withLanes) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(out, "window="); got != 2 {
-		t.Errorf("want 2 lane walkers in the race, saw %d:\n%s", got, out)
-	}
-	if !strings.Contains(out, "strategies raced") {
-		t.Errorf("portfolio output missing race summary:\n%s", out)
-	}
-}
-
 // TestRunGridRestricted drives -all with a -bench restriction and
 // checks one row per grid cell of the single benchmark appears.
 func TestRunGridRestricted(t *testing.T) {
@@ -258,7 +227,6 @@ func TestRunFlagValidation(t *testing.T) {
 		{"format", func(c *config) { c.format = "holograph" }, "unknown format"},
 		{"benchmark", func(c *config) { c.bench = "nonexistent-bench" }, "neither an embedded benchmark"},
 		{"cpu", func(c *config) { c.cpu = "pentium" }, "unknown processor profile"},
-		{"lanes", func(c *config) { c.lanes = -3; c.portfolio = true }, "invalid -lanes"},
 		// A negative deadline used to be silently dropped (scheduling
 		// unbounded); it must be rejected before any mode dispatches.
 		{"timeout", func(c *config) { c.timeout = -2 * time.Minute; c.portfolio = true }, "invalid -timeout"},

@@ -132,7 +132,7 @@ func (mc *modelCache) Len() int {
 }
 
 // SearchStats sums the kernel search telemetry of every ready cached
-// model — orders scored, delta hits, fallback reasons, lane activity —
+// model — orders scored, placements, prunes and checkpoint answers —
 // without blocking on in-flight compiles: an entry still compiling is
 // skipped. The second result is the number of models aggregated.
 func (mc *modelCache) SearchStats() (core.SearchStats, int) {

@@ -73,16 +73,18 @@ func TestMemoization(t *testing.T) {
 
 // TestMemoizationSkipsPartial pins the validity rule: a partial result
 // depends on when the deadline fired, so it must never be journalled.
+// An injected slow member (sched.slow) holds the race past the deadline.
 func TestMemoizationSkipsPartial(t *testing.T) {
 	leakCheck(t)
 	store := openStore(t, filepath.Join(t.TempDir(), "j"), resultstore.Options{})
-	s := newServer(serverConfig{workers: 1, requestWorkers: 1, store: store})
+	s := newServer(serverConfig{workers: 1, requestWorkers: 1, store: store, faults: slowFaults(t)})
 	body := benchBody(t, "p93791")
-	q := "procs=8&cpu=leon&power=0.5&bist=3&search=full&lanes=256&timeout=400ms"
+	q := "procs=8&cpu=leon&power=0.5&bist=3&search=quick&timeout=400ms"
 	resp := decodeSchedule(t, post(s, q, body))
 	if !resp.Partial {
 		t.Fatal("deadline did not bite; cannot exercise the partial path")
 	}
+	requireSlowMemberErr(t, resp, "context deadline exceeded")
 	if st := s.stats(); st.Memo.Stores != 0 || store.Len() != 0 {
 		t.Errorf("partial result was memoized: stores=%d entries=%d", st.Memo.Stores, store.Len())
 	}
@@ -243,13 +245,14 @@ func TestDrainLifecycle(t *testing.T) {
 // dropped connection.
 func TestDrainFinishesInflightPartial(t *testing.T) {
 	leakCheck(t)
-	s := newServer(serverConfig{workers: 1, requestWorkers: 1, drainTimeout: 300 * time.Millisecond})
+	s := newServer(serverConfig{workers: 1, requestWorkers: 1, drainTimeout: 300 * time.Millisecond, faults: slowFaults(t)})
 	body := benchBody(t, "p93791")
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		// A race far longer than the drain budget, under a generous
-		// request deadline: only the drain cancellation can end it early.
-		done <- post(s, "procs=8&cpu=leon&power=0.5&bist=3&search=full&lanes=512&timeout=1m", body)
+		// The slow member makes the race far longer than the drain
+		// budget, under a generous request deadline: only the drain
+		// cancellation can end it early.
+		done <- post(s, "procs=8&cpu=leon&power=0.5&bist=3&search=quick&timeout=1m", body)
 	}()
 	// Wait until the request holds the pool slot, then drain.
 	for i := 0; len(s.slots) == 0; i++ {
@@ -276,6 +279,19 @@ func TestDrainFinishesInflightPartial(t *testing.T) {
 	if resp.Makespan <= 0 {
 		t.Error("drained request returned no plan")
 	}
+	requireSlowMemberErr(t, resp, "context canceled")
+}
+
+// slowFaults returns an injector whose sched.slow point fires on every
+// request with a one-minute delay: each race then outlasts any shorter
+// deadline, drain budget or client.
+func slowFaults(t *testing.T) *fault.Injector {
+	t.Helper()
+	inj, err := fault.Parse("sched.slow=1:1m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
 }
 
 // TestStreamDisconnectFreesSlot is the regression test for pool-slot
@@ -284,14 +300,15 @@ func TestDrainFinishesInflightPartial(t *testing.T) {
 // deadline, or a few abandoned streams wedge the whole pool.
 func TestStreamDisconnectFreesSlot(t *testing.T) {
 	leakCheck(t)
-	s := newServer(serverConfig{workers: 1, requestWorkers: 1})
+	inj := slowFaults(t)
+	s := newServer(serverConfig{workers: 1, requestWorkers: 1, faults: inj})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	body := benchBody(t, "p93791")
-	q := "procs=8&cpu=leon&power=0.5&bist=3&search=full&lanes=512&timeout=1m&stream=1"
+	q := "procs=8&cpu=leon&power=0.5&bist=3&search=quick&timeout=1m&stream=1"
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/schedule?"+q, strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -320,6 +337,7 @@ func TestStreamDisconnectFreesSlot(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// The freed pool serves the next caller normally.
+	inj.SetProbability(fault.SchedSlow, 0)
 	w := post(s, "procs=6&cpu=leon&search=quick", benchBody(t, "d695"))
 	if w.Code != 200 {
 		t.Fatalf("request after disconnect: status %d: %s", w.Code, w.Body.String())

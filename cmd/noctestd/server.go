@@ -14,6 +14,7 @@ import (
 	"net/url"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -213,9 +214,8 @@ type scheduleParams struct {
 	timeout     time.Duration
 	stream      bool
 	bypassCache bool
-	search      string // "quick" (list rules only) or "full" (LanePortfolio)
+	search      string // "quick" (list rules only) or "full" (DefaultPortfolio)
 	seed        int64
-	lanes       int
 
 	// Placement and option parameters; all participate in the cache key.
 	procs       int
@@ -236,7 +236,28 @@ type scheduleParams struct {
 	placementSet bool
 }
 
+// scheduleParamNames lists every query parameter /schedule reads.
+var scheduleParamNames = []string{
+	"timeout", "stream", "cache", "search", "seed",
+	"procs", "cpu", "topology", "failed-links", "power", "bist",
+	"reuse", "exclusive-links", "app", "max-segments", "resume-cost",
+}
+
+// parseScheduleParams decodes a /schedule query string. An unknown
+// parameter is an error: ignoring it would schedule a typo such as
+// max_segments=4, or a parameter a client expects an older server to
+// honour, with defaults while the client believes it was applied.
 func parseScheduleParams(q url.Values, cfg serverConfig) (scheduleParams, error) {
+	var unknown []string
+	for name := range q {
+		if !slices.Contains(scheduleParamNames, name) {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		return scheduleParams{}, fmt.Errorf("unknown parameter %q: want one of %s", unknown[0], strings.Join(scheduleParamNames, ", "))
+	}
 	p := scheduleParams{
 		timeout: cfg.defaultTimeout,
 		search:  "full",
@@ -325,7 +346,6 @@ func parseScheduleParams(q url.Values, cfg serverConfig) (scheduleParams, error)
 		}
 	}
 	stringParam("search", &p.search, []string{"quick", "full"}, false)
-	intParam("lanes", &p.lanes, 0, false)
 	if err == nil && q.Has("seed") {
 		v, perr := strconv.ParseInt(q.Get("seed"), 10, 64)
 		if perr != nil {
@@ -373,7 +393,7 @@ func (p scheduleParams) coreOptions() core.Options {
 
 // cacheKey hashes the upload together with every compile-relevant
 // parameter, so one cached model is exactly one (system, options,
-// topology) point. Search-side parameters — seed, lanes, search,
+// topology) point. Search-side parameters — seed, search,
 // timeout, stream — stay out: they shape the race, not the model, and
 // one cached model serves them all. The failed-link seed enters only
 // when links actually fail; otherwise it does not affect the build.
@@ -396,10 +416,10 @@ func (p scheduleParams) cacheKey(body []byte) string {
 // that shape the race's outcome. A complete (non-partial) result is a
 // pure function of (model, scheduler set, seed) — ScheduleModel is
 // interleaving-independent by contract — so the memo key must add
-// exactly search, seed and lanes to the compile key, and nothing
+// exactly search and seed to the compile key, and nothing
 // timing-dependent like the request deadline.
 func (p scheduleParams) memoKey(body []byte) string {
-	return p.cacheKey(body) + fmt.Sprintf("|search=%s|seed=%d|lanes=%d", p.search, p.seed, p.lanes)
+	return p.cacheKey(body) + fmt.Sprintf("|search=%s|seed=%d", p.search, p.seed)
 }
 
 // memoHead is the journalled form of one complete result, less its
@@ -440,6 +460,26 @@ func (panicStrategy) Name() string { return "fault.panic" }
 
 func (panicStrategy) Search(context.Context, *core.Model, *core.Incumbent) (core.Candidate, error) {
 	panic("injected strategy panic (sched.panic)")
+}
+
+// slowStrategy is the fault injector's sched.slow payload: a portfolio
+// member that finds nothing and returns only once its delay has passed
+// or the request's context has ended. It holds a race open past any
+// shorter deadline, so tests can exercise the anytime-partial, drain
+// and disconnect paths deterministically.
+type slowStrategy struct{ delay time.Duration }
+
+func (slowStrategy) Name() string { return "fault.slow" }
+
+func (s slowStrategy) Search(ctx context.Context, _ *core.Model, _ *core.Incumbent) (core.Candidate, error) {
+	t := time.NewTimer(s.delay)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return core.Candidate{}, fault.Errorf("slow strategy waited %v and found nothing", s.delay)
+	case <-ctx.Done():
+		return core.Candidate{}, ctx.Err()
+	}
 }
 
 // isScenario reports whether an upload is a socgen scenario file (its
@@ -499,20 +539,12 @@ func buildModel(body []byte, p scheduleParams) (*core.Model, error) {
 
 // schedulers returns the request's strategy set: "quick" is the seven
 // deterministic list rules (microsecond-scale, throughput serving),
-// "full" the whole lane portfolio (search-quality serving).
+// "full" the whole default portfolio (search-quality serving).
 func (p scheduleParams) schedulers() []core.Scheduler {
 	if p.search == "quick" {
-		return []core.Scheduler{
-			core.ListScheduler{Variant: core.GreedyFirstAvailable, Priority: core.ProcessorsFirst},
-			core.ListScheduler{Variant: core.LookaheadFastestFinish, Priority: core.ProcessorsFirst},
-			core.ListScheduler{Variant: core.GreedyFirstAvailable, Priority: core.VolumeDescending},
-			core.ListScheduler{Variant: core.LookaheadFastestFinish, Priority: core.VolumeDescending},
-			core.ListScheduler{Variant: core.GreedyFirstAvailable, Priority: core.LongestTestFirst},
-			core.ListScheduler{Variant: core.LookaheadFastestFinish, Priority: core.LongestTestFirst},
-			core.ListScheduler{Variant: core.LookaheadFastestFinish, Priority: core.DistanceOnly},
-		}
+		return core.ListRules()
 	}
-	return core.LanePortfolio(p.seed, p.lanes)
+	return core.DefaultPortfolio(p.seed)
 }
 
 // strategyJSON is one portfolio member's outcome in the response.
@@ -734,10 +766,14 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	// may share one cached model freely; the Progress hook forwards the
 	// run's anytime improvements onto the stream as they land. A
 	// sched.panic drill appends a panicking member: the engine isolates
-	// it and the race degrades to the survivors.
+	// it and the race degrades to the survivors. A sched.slow drill
+	// appends a member that holds the race open for its delay.
 	scheds := p.schedulers()
 	if s.cfg.faults.Should(fault.SchedPanic) {
 		scheds = append(scheds, panicStrategy{})
+	}
+	if d, ok := s.cfg.faults.Delay(fault.SchedSlow); ok {
+		scheds = append(scheds, slowStrategy{delay: d})
 	}
 	pf := core.Portfolio{Schedulers: scheds, Workers: s.cfg.requestWorkers}
 	if stream != nil {
@@ -914,19 +950,15 @@ type statsResponse struct {
 		// Models is how many ready cached models the counters below
 		// aggregate over; in-flight compiles are skipped, so the numbers
 		// lag an active compile but never block the endpoint.
-		Models        int     `json:"models"`
-		Orders        uint64  `json:"orders"`
-		Placed        uint64  `json:"placed"`
-		Replayed      uint64  `json:"replayed"`
-		Pruned        uint64  `json:"pruned"`
-		DeltaHits     uint64  `json:"delta_hits"`
-		DeltaAdjacent uint64  `json:"delta_adjacent"`
-		DeltaHitRate  float64 `json:"delta_hit_rate"`
-		// Fallbacks mirrors BENCH_schedule.json's delta_fallbacks keys:
-		// why delta-eligible moves fell back to suffix replay.
-		Fallbacks        map[string]uint64 `json:"delta_fallbacks"`
-		LaneMigrations   uint64            `json:"lane_migrations"`
-		LaneImprovements uint64            `json:"lane_improvements"`
+		Models   int    `json:"models"`
+		Orders   uint64 `json:"orders"`
+		Placed   uint64 `json:"placed"`
+		Replayed uint64 `json:"replayed"`
+		Pruned   uint64 `json:"pruned"`
+		// DeltaHits counts evaluations answered from the kernel's
+		// checkpoints with zero placements (core.SearchStats.DeltaHits).
+		DeltaHits    uint64  `json:"delta_hits"`
+		DeltaHitRate float64 `json:"delta_hit_rate"`
 	} `json:"search"`
 }
 
@@ -973,19 +1005,9 @@ func (s *server) stats() statsResponse {
 	st.Search.Replayed = search.Replayed
 	st.Search.Pruned = search.Pruned
 	st.Search.DeltaHits = search.DeltaHits
-	st.Search.DeltaAdjacent = search.DeltaAdjacent
 	if search.Orders > 0 {
 		st.Search.DeltaHitRate = float64(search.DeltaHits) / float64(search.Orders)
 	}
-	st.Search.Fallbacks = map[string]uint64{
-		"frontier_mismatch":    search.FallbackFrontier,
-		"reservation_mismatch": search.FallbackReservation,
-		"span_overlap":         search.FallbackOverlap,
-		"no_suffix":            search.FallbackNoSuffix,
-		"adjacent_rule":        search.FallbackAdjacent,
-	}
-	st.Search.LaneMigrations = search.LaneMigrations
-	st.Search.LaneImprovements = search.LaneImprovements
 	return st
 }
 

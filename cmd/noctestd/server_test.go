@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -188,25 +189,22 @@ func TestScheduleBackpressure(t *testing.T) {
 }
 
 // TestScheduleDeadlineAnytimePartial gives a large system a budget far
-// below its full portfolio's runtime: the response must still be 200
-// with a valid plan — the anytime best of the strategies that finished
-// — and flagged partial.
+// below its race's runtime: the list rules finish in microseconds, then
+// an injected slow member (sched.slow) holds the race open past the
+// deadline. The response must still be 200 with a valid plan — the
+// anytime best of the strategies that finished — and flagged partial,
+// and the slow member must report the deadline as its error.
 func TestScheduleDeadlineAnytimePartial(t *testing.T) {
-	s := newServer(serverConfig{workers: 1, requestWorkers: 1})
+	s := newServer(serverConfig{workers: 1, requestWorkers: 1, faults: slowFaults(t)})
 	body := benchBody(t, "p93791")
-	// 256 lanes sequentially on one worker takes far longer than the
-	// budget; the list rules in front finish in microseconds, so at
-	// least one plan exists when the deadline fires.
-	resp := decodeSchedule(t, post(s, "procs=8&cpu=leon&power=0.5&bist=3&search=full&lanes=256&timeout=400ms", body))
+	resp := decodeSchedule(t, post(s, "procs=8&cpu=leon&power=0.5&bist=3&search=quick&timeout=400ms", body))
 	if !resp.Partial {
 		t.Fatalf("response not marked partial; strategies=%d best=%s", len(resp.Strategies), resp.Best)
 	}
 	if resp.Makespan <= 0 || resp.Best == "" {
 		t.Errorf("partial response has no plan: makespan=%d best=%q", resp.Makespan, resp.Best)
 	}
-	if len(resp.Strategies) >= 11+256 {
-		t.Errorf("all %d strategies finished; deadline did not bite", len(resp.Strategies))
-	}
+	requireSlowMemberErr(t, resp, "context deadline exceeded")
 	p, err := plan.ParseJSON(bytes.NewReader(resp.Plan))
 	if err != nil {
 		t.Fatalf("partial plan does not parse: %v", err)
@@ -214,6 +212,22 @@ func TestScheduleDeadlineAnytimePartial(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Errorf("partial plan does not validate: %v", err)
 	}
+}
+
+// requireSlowMemberErr checks that the injected slow member raced and
+// ended with an error containing want: proof that the race was cut
+// short rather than run to completion.
+func requireSlowMemberErr(t *testing.T, resp scheduleResponse, want string) {
+	t.Helper()
+	for _, sj := range resp.Strategies {
+		if sj.Name == "fault.slow" {
+			if !strings.Contains(sj.Err, want) {
+				t.Errorf("slow member err = %q, want it to contain %q", sj.Err, want)
+			}
+			return
+		}
+	}
+	t.Errorf("slow member missing from the strategies: %+v", resp.Strategies)
 }
 
 // TestScheduleStream checks the NDJSON contract: a model event first,
@@ -351,8 +365,8 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 
 // TestStatsSearchCounters pins the /stats search section: after a
 // schedule request the ready cached model's kernel telemetry — orders
-// scored, the delta-hit rate and the fallback taxonomy — is aggregated
-// and exported, matching the counter names BENCH_schedule.json uses.
+// scored, placements and the delta-hit rate — is aggregated and
+// exported, matching the counter names BENCH_schedule.json uses.
 func TestStatsSearchCounters(t *testing.T) {
 	s := newServer(serverConfig{})
 	if resp := decodeSchedule(t, post(s, "search=quick", benchBody(t, "d695"))); resp.Makespan <= 0 {
@@ -371,9 +385,59 @@ func TestStatsSearchCounters(t *testing.T) {
 	if st.Search.DeltaHitRate < 0 || st.Search.DeltaHitRate > 1 {
 		t.Errorf("search.delta_hit_rate = %v, want within [0, 1]", st.Search.DeltaHitRate)
 	}
-	for _, key := range []string{"frontier_mismatch", "reservation_mismatch", "span_overlap", "no_suffix", "adjacent_rule"} {
-		if _, ok := st.Search.Fallbacks[key]; !ok {
-			t.Errorf("search.delta_fallbacks missing key %q", key)
+}
+
+// TestScheduleRejectsUnknownParams pins query-string strictness: a
+// parameter /schedule does not read answers 400 instead of scheduling
+// with defaults, and every query an in-repo client sends is accepted.
+func TestScheduleRejectsUnknownParams(t *testing.T) {
+	s := newServer(serverConfig{})
+	body := benchBody(t, "d695")
+	for _, tc := range []struct{ name, query string }{
+		{"removed lanes", "search=full&lanes=4"},
+		{"underscore typo", "search=quick&max_segments=4"},
+		{"wrong case", "Search=quick"},
+		{"bare key", "search=quick&verbose"},
+	} {
+		w := post(s, tc.query, body)
+		if w.Code != 400 || !strings.Contains(w.Body.String(), "unknown parameter") {
+			t.Errorf("%s (%s): status %d, want 400 naming the unknown parameter: %s", tc.name, tc.query, w.Code, w.Body.String())
+		}
+	}
+
+	// Every known name parses; a value of "1" is valid for each except
+	// the enumerations and the timeout, which get one of their values.
+	valid := map[string]string{"search": "quick", "cpu": "leon", "topology": "mesh", "app": "bist", "timeout": "1s"}
+	q := url.Values{}
+	for _, name := range scheduleParamNames {
+		v, ok := valid[name]
+		if !ok {
+			v = "1"
+		}
+		q.Set(name, v)
+	}
+	if _, err := parseScheduleParams(q, serverConfig{maxTimeout: time.Minute}); err != nil {
+		t.Errorf("every known parameter at once: %v", err)
+	}
+	// The load benchmark's queries, and the query noctest -serve-url
+	// builds, parse as sent.
+	reqs, err := buildMix(loadbenchConfig{search: "full", seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"procs=8&cpu=plasma&topology=torus&failed-links=1&power=0.5&bist=3&reuse=2&exclusive-links=1&app=decompression&max-segments=4&resume-cost=5&search=full&seed=7&timeout=2m0s",
+	}
+	for _, r := range reqs {
+		queries = append(queries, r.query, r.query+"&cache=no")
+	}
+	for _, raw := range queries {
+		q, err := url.ParseQuery(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := parseScheduleParams(q, serverConfig{maxTimeout: time.Minute}); err != nil {
+			t.Errorf("client query %q rejected: %v", raw, err)
 		}
 	}
 }

@@ -228,14 +228,6 @@ type Options struct {
 	// test application's state. Charged to every segment after the
 	// first. Zero models a free context switch.
 	ResumeCycles int
-	// Lanes adds this many extra independently-seeded annealing
-	// walkers (see LanePortfolio) to a Portfolio whose Schedulers are
-	// unset: each lane draws moves from a small tail window, where the
-	// kernel's delta path scores neighbours without replaying the
-	// suffix, and shares the portfolio's sealed incumbent. Lanes only
-	// add searchers, so the portfolio best never gets worse. Zero adds
-	// none; negative is invalid.
-	Lanes int
 }
 
 func (o Options) withDefaults() Options {
@@ -297,9 +289,6 @@ func (o Options) Validate() error {
 	}
 	if o.MinSegmentPatterns < 0 {
 		return fmt.Errorf("core: negative segment pattern floor %d", o.MinSegmentPatterns)
-	}
-	if o.Lanes < 0 {
-		return fmt.Errorf("core: negative annealing lane count %d", o.Lanes)
 	}
 	if o.ResumeCycles < 0 {
 		return fmt.Errorf("core: negative resume cost %d", o.ResumeCycles)

@@ -170,16 +170,22 @@ func TestMakespanAllocsZero(t *testing.T) {
 }
 
 // TestEvaluatorAllocsZero extends the allocation regression to the
-// incremental kernel: warm checkpoints make suffix evaluations
-// allocation-free too.
+// incremental kernel: once checkpoints and the link journal are warm,
+// evaluations allocate nothing — deep tail swaps replayed unbounded,
+// and window swaps marching across the middle of the order under a
+// periodic tight bound, whose aborts are answered both mid-replay and
+// from the reused prefix alone — on plain, link-exclusive and
+// preemptive regimes.
 func TestEvaluatorAllocsZero(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	for _, opts := range []Options{
+		{PowerLimitFraction: 0.5},
 		{PowerLimitFraction: 0.5, ExclusiveLinks: true},
 		// Segment chains journal several reservations per position; once
 		// the flat journal's capacity is warm, rewinds must be free.
+		{PowerLimitFraction: 0.5, MaxSegments: 4, ResumeCycles: 20},
 		{PowerLimitFraction: 0.5, ExclusiveLinks: true, MaxSegments: 4, ResumeCycles: 20},
 	} {
 		sys := buildSystem(t, "p22810", 8, soc.Leon())
@@ -188,26 +194,43 @@ func TestEvaluatorAllocsZero(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := context.Background()
-		ev := m.NewEvaluator(LookaheadFastestFinish)
-		order := append([]int(nil), m.DefaultOrder()...)
-		n := len(order)
-		swap := func() { order[n-2], order[n-7] = order[n-7], order[n-2] }
-		for i := 0; i < 3; i++ {
-			if _, _, err := ev.Evaluate(ctx, order, 0); err != nil {
+		for _, moves := range []string{"tail", "window"} {
+			ev := m.NewEvaluator(LookaheadFastestFinish)
+			order := append([]int(nil), m.DefaultOrder()...)
+			n := len(order)
+			ms, _, err := ev.Evaluate(ctx, order, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			swap()
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := ev.Evaluate(ctx, order, 0); err != nil {
-				t.Fatal(err)
+			step := 0
+			move := func() (bound int) {
+				if moves == "tail" {
+					order[n-2], order[n-7] = order[n-7], order[n-2]
+					return 0
+				}
+				p := 3 + step%5
+				order[p], order[p+1] = order[p+1], order[p]
+				if step%3 == 2 {
+					bound = ms - 1
+				}
+				step++
+				return bound
 			}
-			swap()
-		})
-		if allocs != 0 {
-			t.Errorf("opts %+v: Evaluate allocates %.1f times per pass, want 0", opts, allocs)
+			for i := 0; i < 8; i++ { // warm every checkpoint and the journal
+				if _, _, err := ev.Evaluate(ctx, order, move()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, _, err := ev.Evaluate(ctx, order, move()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("opts %+v, %s moves: Evaluate allocates %.1f times per pass, want 0", opts, moves, allocs)
+			}
+			ev.Close()
 		}
-		ev.Close()
 	}
 }
 
@@ -256,228 +279,22 @@ func TestSearchStatsAccumulate(t *testing.T) {
 	if tail == 0 {
 		t.Error("tail swap not recorded in the upper locality buckets")
 	}
-}
 
-// TestEvaluatorDeltaAllocsZero pins the delta-evaluation path's
-// allocation behaviour: window moves against a warm, fully committed
-// reference — matches that fast-forward from the journal, mismatches
-// that fall back to suffix replay, and bound rejections that restore
-// the reference from the saved log — must all run without allocating.
-func TestEvaluatorDeltaAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	for _, opts := range []Options{
-		{PowerLimitFraction: 0.5},
-		{PowerLimitFraction: 0.5, MaxSegments: 4, ResumeCycles: 20},
-	} {
-		sys := buildSystem(t, "p22810", 8, soc.Leon())
-		m, err := Compile(sys, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		ev := m.NewEvaluator(LookaheadFastestFinish)
-		order := append([]int(nil), m.DefaultOrder()...)
-		ms, _, err := ev.Evaluate(ctx, order, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		step := 0
-		move := func() (bound int) {
-			// Alternate a mid-order window swap (delta-eligible: the
-			// suffix past the window is untouched) with tight bounds that
-			// force the pruned restore-from-reference path.
-			p := 3 + step%5
-			order[p], order[p+1] = order[p+1], order[p]
-			if step%3 == 2 {
-				bound = ms - 1
-			}
-			step++
-			return bound
-		}
-		for i := 0; i < 8; i++ { // warm refRes/refMarks and the journals
-			if _, _, err := ev.Evaluate(ctx, order, move()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := ev.Evaluate(ctx, order, move()); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("opts %+v: delta-path Evaluate allocates %.1f times per pass, want 0", opts, allocs)
-		}
-		ev.Close()
-	}
-}
-
-// TestEvaluateBatchMatchesEvaluate checks the batch API's contract:
-// every result equals what a stateless full replay of that (order,
-// bound) pair produces, regardless of the internal divergence-sorted
-// evaluation order, and invalid members fail without poisoning their
-// siblings.
-func TestEvaluateBatchMatchesEvaluate(t *testing.T) {
-	r := rand.New(rand.NewSource(777))
-	sys := buildSystem(t, "d695", 6, soc.Leon())
-	m, err := Compile(sys, Options{PowerLimitFraction: 0.5})
-	if err != nil {
+	// DeltaHits counts the answers that place nothing: a resubmitted
+	// order, and an order whose reused prefix already crosses the bound.
+	if _, _, err := ev.Evaluate(ctx, order, 0); err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	ev := m.NewEvaluator(LookaheadFastestFinish)
-	defer ev.Close()
-	base := append([]int(nil), m.DefaultOrder()...)
-	n := len(base)
-	baseMs, _, err := ev.Evaluate(ctx, base, 0)
-	if err != nil {
-		t.Fatal(err)
+	before := m.SearchStats()
+	if got, _, err := ev.Evaluate(ctx, order, 0); err != nil || got == 0 {
+		t.Fatalf("resubmitted order: ms %d, err %v", got, err)
 	}
-
-	var orders [][]int
-	var bounds []int
-	for k := 0; k < 12; k++ {
-		o := append([]int(nil), base...)
-		i, j := r.Intn(n), r.Intn(n)
-		o[i], o[j] = o[j], o[i]
-		orders = append(orders, o)
-		switch k % 3 {
-		case 1:
-			bounds = append(bounds, baseMs)
-		case 2:
-			bounds = append(bounds, baseMs-1)
-		default:
-			bounds = append(bounds, 0)
-		}
+	order[n-1], order[n-2] = order[n-2], order[n-1]
+	if _, pruned, err := ev.Evaluate(ctx, order, 1); err != nil || !pruned {
+		t.Fatalf("prefix over a bound of 1: pruned %v, err %v", pruned, err)
 	}
-	orders = append(orders, base[:n-1]) // invalid: short order
-	bounds = append(bounds, 0)
-	results := make([]EvalResult, len(orders))
-	if err := ev.EvaluateBatch(ctx, orders, bounds, results); err != nil {
-		t.Fatal(err)
-	}
-	for k := range orders[:len(orders)-1] {
-		wantMs, wantPruned, wantErr := m.MakespanBounded(ctx, LookaheadFastestFinish, orders[k], bounds[k])
-		res := results[k]
-		if (res.Err != nil) != (wantErr != nil) {
-			t.Fatalf("move %d: batch err %v, full replay err %v", k, res.Err, wantErr)
-		}
-		if res.Err == nil && (res.Makespan != wantMs || res.Pruned != wantPruned) {
-			t.Fatalf("move %d bound %d: batch (ms %d, pruned %v) vs full (ms %d, pruned %v)",
-				k, bounds[k], res.Makespan, res.Pruned, wantMs, wantPruned)
-		}
-	}
-	if results[len(results)-1].Err == nil {
-		t.Error("invalid batch member did not report an error")
-	}
-	if len(results) != len(orders) {
-		t.Fatalf("results resized: %d != %d", len(results), len(orders))
-	}
-
-	// Mismatched slice lengths are refused up front.
-	if err := ev.EvaluateBatch(ctx, orders, bounds[:1], results); err == nil {
-		t.Error("short bounds accepted")
-	}
-	if err := ev.EvaluateBatch(ctx, orders, nil, results[:1]); err == nil {
-		t.Error("short results accepted")
-	}
-}
-
-// TestEvaluateBatchAllocsZero extends the allocation regression to the
-// batch path: once the divergence-sort scratch is warm, batching window
-// moves allocates nothing.
-func TestEvaluateBatchAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	sys := buildSystem(t, "p22810", 8, soc.Leon())
-	m, err := Compile(sys, Options{PowerLimitFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	ev := m.NewEvaluator(LookaheadFastestFinish)
-	defer ev.Close()
-	base := append([]int(nil), m.DefaultOrder()...)
-	n := len(base)
-	orders := make([][]int, 4)
-	for k := range orders {
-		o := append([]int(nil), base...)
-		o[n-2-k], o[n-1-k] = o[n-1-k], o[n-2-k]
-		orders[k] = o
-	}
-	results := make([]EvalResult, len(orders))
-	for i := 0; i < 3; i++ {
-		if err := ev.EvaluateBatch(ctx, orders, nil, results); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := ev.EvaluateBatch(ctx, orders, nil, results); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("EvaluateBatch allocates %.1f times per batch, want 0", allocs)
-	}
-}
-
-// TestEvaluatorAdjacentAllocsZero pins the O(1) adjacent-commutation
-// path: pure adjacent swaps against a warm committed reference must
-// answer through the adjacent rule — checked via the DeltaAdjacent
-// counter, so a silent fallback to suffix replay fails the test — and
-// must not allocate, including the bound-rejected restore.
-func TestEvaluatorAdjacentAllocsZero(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under the race detector")
-	}
-	for _, opts := range []Options{
-		{PowerLimitFraction: 0.5},
-		{PowerLimitFraction: 0.5, MaxSegments: 4, ResumeCycles: 20},
-	} {
-		sys := buildSystem(t, "p22810", 8, soc.Leon())
-		m, err := Compile(sys, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := context.Background()
-		ev := m.NewEvaluator(LookaheadFastestFinish)
-		order := append([]int(nil), m.DefaultOrder()...)
-		ms, _, err := ev.Evaluate(ctx, order, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		step := 0
-		move := func() (bound int) {
-			// Adjacent swaps marching across the middle of the order,
-			// with a periodic tight bound for the rejected-restore arm.
-			p := 3 + step%7
-			order[p], order[p+1] = order[p+1], order[p]
-			if step%3 == 2 {
-				bound = ms - 1
-			}
-			step++
-			return bound
-		}
-		for i := 0; i < 8; i++ { // warm the reference and journals
-			if _, _, err := ev.Evaluate(ctx, order, move()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		before := m.SearchStats()
-		allocs := testing.AllocsPerRun(100, func() {
-			if _, _, err := ev.Evaluate(ctx, order, move()); err != nil {
-				t.Fatal(err)
-			}
-		})
-		after := m.SearchStats()
-		if allocs != 0 {
-			t.Errorf("opts %+v: adjacent-path Evaluate allocates %.1f times per pass, want 0", opts, allocs)
-		}
-		if after.DeltaAdjacent == before.DeltaAdjacent {
-			t.Errorf("opts %+v: adjacent swaps never took the adjacent-commutation path", opts)
-		}
-		ev.Close()
+	d := m.SearchStats().Sub(before)
+	if d.DeltaHits != 2 || d.Placed != 0 {
+		t.Errorf("zero-placement answers: delta hits %d, placed %d; want 2 and 0", d.DeltaHits, d.Placed)
 	}
 }

@@ -69,15 +69,6 @@ type Model struct {
 	// maxSegs is the longest segment chain of any candidate, sizing the
 	// per-pass chain buffers; 1 when scheduling is non-preemptive.
 	maxSegs int
-	// exactDraws records that every candidate power draw is a
-	// non-negative integer and the sum of all cores' largest draws stays
-	// below 2^52. Every reachable profile load is then a subset sum of
-	// draws — an exact integer below 2^53 — so float64 addition never
-	// rounds and summation order cannot change a load even bitwise. The
-	// incremental kernel uses this to lift its span-disjointness
-	// fallbacks: reordered commits of the same reservation set provably
-	// reproduce the identical profile.
-	exactDraws bool
 
 	pool  sync.Pool
 	stats searchCounters
@@ -93,23 +84,7 @@ type searchCounters struct {
 	placed    atomic.Uint64
 	replayed  atomic.Uint64
 	deltaHits atomic.Uint64
-	// deltaAdjacent counts the subset of deltaHits resolved by the O(1)
-	// adjacent-swap/no-op rule: no window replay, no suffix re-commit,
-	// the result read straight off the reference checkpoints.
-	deltaAdjacent atomic.Uint64
-	// Fallback-reason counters: why a delta-eligible evaluation missed
-	// the splice and fell back to suffix replay. One of these increments
-	// exactly when a pass saved a delta window but never fast-forwarded.
-	fbFrontier    atomic.Uint64 // makespan/frontier mismatch at window end
-	fbReservation atomic.Uint64 // per-core reservation groups differ
-	fbOverlap     atomic.Uint64 // reordered spans overlap (float inexactness)
-	fbNoSuffix    atomic.Uint64 // move touches the last position: empty suffix
-	fbAdjacent    atomic.Uint64 // adjacent-rule precondition failed
-	// Adaptive-lane counters: anchor migrations and improving accepts
-	// observed by adaptive walkers.
-	laneMigrations atomic.Uint64
-	laneImprove    atomic.Uint64
-	locality       [localityBuckets]atomic.Uint64
+	locality  [localityBuckets]atomic.Uint64
 }
 
 // localityBuckets is the resolution of the move-locality histogram: one
@@ -142,30 +117,12 @@ type SearchStats struct {
 	// Replayed counts core placements restored from checkpoints instead
 	// of being re-evaluated — the work the incremental kernel avoided.
 	Replayed uint64
-	// DeltaHits counts evaluations resolved by the delta fast-forward:
-	// only the changed window was replayed and the suffix re-committed
-	// straight from the reservation journal, no interface rescans.
+	// DeltaHits counts evaluations the incremental kernel answered from
+	// its checkpoints with zero placements: a resubmitted order, or a
+	// reused prefix already over the bound. (The name predates this
+	// meaning: it once counted the windowed splice's fast-forwards, and
+	// it is kept because external readers key on it.)
 	DeltaHits uint64
-	// DeltaAdjacent counts the subset of DeltaHits resolved by the O(1)
-	// adjacent-swap/no-op rule without replaying anything at all.
-	DeltaAdjacent uint64
-	// FallbackFrontier..FallbackAdjacent classify why delta-eligible
-	// evaluations missed the splice: the window-end state diverged
-	// (frontier/makespan mismatch), the suffix reservations landed on
-	// different cores/interfaces, reordered spans overlapped in time
-	// (the float-summation-order hazard), the move touched the final
-	// position so no suffix existed, or an O(1) adjacent-rule
-	// precondition failed and the move took the windowed path instead.
-	FallbackFrontier    uint64
-	FallbackReservation uint64
-	FallbackOverlap     uint64
-	FallbackNoSuffix    uint64
-	FallbackAdjacent    uint64
-	// LaneMigrations counts adaptive-lane anchor moves; LaneImprovements
-	// counts lane-accepted moves that strictly improved the walker's
-	// current makespan.
-	LaneMigrations   uint64
-	LaneImprovements uint64
 	// Locality is the move-locality histogram: Locality[d] counts the
 	// evaluations whose replay started in decile d of the order, so
 	// bucket 0 holds cold full replays and bucket 9 the most local
@@ -182,14 +139,6 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.Placed += o.Placed
 	s.Replayed += o.Replayed
 	s.DeltaHits += o.DeltaHits
-	s.DeltaAdjacent += o.DeltaAdjacent
-	s.FallbackFrontier += o.FallbackFrontier
-	s.FallbackReservation += o.FallbackReservation
-	s.FallbackOverlap += o.FallbackOverlap
-	s.FallbackNoSuffix += o.FallbackNoSuffix
-	s.FallbackAdjacent += o.FallbackAdjacent
-	s.LaneMigrations += o.LaneMigrations
-	s.LaneImprovements += o.LaneImprovements
 	for i := range s.Locality {
 		s.Locality[i] += o.Locality[i]
 	}
@@ -204,14 +153,6 @@ func (s SearchStats) Sub(o SearchStats) SearchStats {
 	d.Placed -= o.Placed
 	d.Replayed -= o.Replayed
 	d.DeltaHits -= o.DeltaHits
-	d.DeltaAdjacent -= o.DeltaAdjacent
-	d.FallbackFrontier -= o.FallbackFrontier
-	d.FallbackReservation -= o.FallbackReservation
-	d.FallbackOverlap -= o.FallbackOverlap
-	d.FallbackNoSuffix -= o.FallbackNoSuffix
-	d.FallbackAdjacent -= o.FallbackAdjacent
-	d.LaneMigrations -= o.LaneMigrations
-	d.LaneImprovements -= o.LaneImprovements
 	for i := range d.Locality {
 		d.Locality[i] -= o.Locality[i]
 	}
@@ -224,19 +165,11 @@ func (s SearchStats) Sub(o SearchStats) SearchStats {
 // passes are in flight is approximate.
 func (m *Model) SearchStats() SearchStats {
 	st := SearchStats{
-		Orders:              m.stats.orders.Load(),
-		Pruned:              m.stats.pruned.Load(),
-		Placed:              m.stats.placed.Load(),
-		Replayed:            m.stats.replayed.Load(),
-		DeltaHits:           m.stats.deltaHits.Load(),
-		DeltaAdjacent:       m.stats.deltaAdjacent.Load(),
-		FallbackFrontier:    m.stats.fbFrontier.Load(),
-		FallbackReservation: m.stats.fbReservation.Load(),
-		FallbackOverlap:     m.stats.fbOverlap.Load(),
-		FallbackNoSuffix:    m.stats.fbNoSuffix.Load(),
-		FallbackAdjacent:    m.stats.fbAdjacent.Load(),
-		LaneMigrations:      m.stats.laneMigrations.Load(),
-		LaneImprovements:    m.stats.laneImprove.Load(),
+		Orders:    m.stats.orders.Load(),
+		Pruned:    m.stats.pruned.Load(),
+		Placed:    m.stats.placed.Load(),
+		Replayed:  m.stats.replayed.Load(),
+		DeltaHits: m.stats.deltaHits.Load(),
 	}
 	for i := range st.Locality {
 		st.Locality[i] = m.stats.locality[i].Load()
@@ -642,33 +575,6 @@ func (m *Model) compileCandidates(routes *noc.RouteTable, ifaces []compIface) er
 		m.scanDur[ci] = durs
 	}
 
-	// Detect exact power arithmetic (see the exactDraws field): integral
-	// draws whose worst-case concurrent sum stays far below 2^53 make
-	// profile sums order-invariant, which widens the incremental kernel's
-	// reorder proofs. ITC'02 power figures and the transport/processor
-	// charges are integers, so real systems qualify; any synthetic
-	// fractional draw simply keeps the conservative span-disjoint rules.
-	m.exactDraws = true
-	sumMax := 0.0
-	for ci := range m.cands {
-		rowMax := 0.0
-		for ii := range m.cands[ci] {
-			c := &m.cands[ci][ii]
-			if !c.feasible {
-				continue
-			}
-			if c.draw < 0 || c.draw != math.Trunc(c.draw) {
-				m.exactDraws = false
-			}
-			if c.draw > rowMax {
-				rowMax = c.draw
-			}
-		}
-		sumMax += rowMax
-	}
-	if sumMax > 1<<52 {
-		m.exactDraws = false
-	}
 	return nil
 }
 
@@ -885,11 +791,11 @@ func (m *Model) run(ctx context.Context, v Variant, order []int, bound int, entr
 // route. The greedy rule keys on the first segment's start (the paper's
 // first-available convention, unchanged for one-segment chains) and the
 // lookahead rule on the chain's completion. Ties keep the first
-// interface scanned. When undo is non-nil every committed reservation
-// is journalled — link spans, power-profile edits (bitwise-undoable),
-// and one resRec per segment — so the incremental kernel can rewind the
-// placement exactly and fast-forward it again without re-deriving it.
-func (m *Model) place(s *scratch, v Variant, ci int, entries *[]plan.Entry, undo *evalUndo) (int, error) {
+// interface scanned. When undo is non-nil every committed link
+// reservation is journalled in it, so the incremental kernel can pop
+// the placement's link spans again; the kernel restores the power
+// profile from its checkpoint snapshots instead.
+func (m *Model) place(s *scratch, v Variant, ci int, entries *[]plan.Entry, undo *[]noc.LinkID) (int, error) {
 	row := m.cands[ci]
 	// Collect the feasible interfaces with the lower bound of their
 	// placement key (the chain can only start at or after the frontier,
@@ -991,9 +897,8 @@ func (m *Model) place(s *scratch, v Variant, ci int, entries *[]plan.Entry, undo
 			// the kernel snapshots the profile at every checkpoint and
 			// rewinds by restoring, and the differential oracles
 			// cross-check the committed state against full replays.
-			undo.links = append(undo.links, c.links...)
+			*undo = append(*undo, c.links...)
 			s.profile.Add(st, end, c.draw)
-			undo.res = append(undo.res, resRec{core: ci, iface: bestIface, start: st, end: end})
 		} else if !s.profile.TryAdd(st, end, c.draw) {
 			panic(fmt.Sprintf("core: committing feasible placement of core %d failed", m.cores[ci].Core.ID))
 		}

@@ -177,9 +177,7 @@ func (pf Portfolio) ScheduleBest(ctx context.Context, sys *soc.System, opts Opti
 func (pf Portfolio) ScheduleModel(ctx context.Context, m *Model) (*PortfolioResult, error) {
 	scheds := pf.Schedulers
 	if len(scheds) == 0 {
-		// The model's Options carry the lane count so callers that only
-		// configure Options get lanes without building a scheduler set.
-		scheds = LanePortfolio(0, m.opts.Lanes)
+		scheds = DefaultPortfolio(0)
 	}
 
 	cands := make([]Candidate, len(scheds))

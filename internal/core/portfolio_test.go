@@ -317,83 +317,6 @@ func TestLongestTestFirstOrdering(t *testing.T) {
 	}
 }
 
-// TestLanePortfolio pins the lane set's composition: lanes extend the
-// default portfolio with distinctly-seeded window-move annealers and
-// never replace a default member, so the portfolio best can only
-// improve on the laneless run.
-func TestLanePortfolio(t *testing.T) {
-	base := DefaultPortfolio(7)
-	if got := LanePortfolio(7, 0); len(got) != len(base) {
-		t.Fatalf("0 lanes changed the portfolio size: %d != %d", len(got), len(base))
-	}
-	lanes := 3
-	scheds := LanePortfolio(7, lanes)
-	if len(scheds) != len(base)+lanes {
-		t.Fatalf("want %d schedulers, got %d", len(base)+lanes, len(scheds))
-	}
-	names := map[string]bool{}
-	for _, s := range scheds {
-		if names[s.Name()] {
-			t.Fatalf("duplicate scheduler %q", s.Name())
-		}
-		names[s.Name()] = true
-	}
-	for i, s := range scheds[len(base):] {
-		a, ok := s.(AnnealingScheduler)
-		if !ok {
-			t.Fatalf("lane %d is %T, want AnnealingScheduler", i, s)
-		}
-		if a.MoveWindow != LaneMoveWindow {
-			t.Errorf("lane %d window %d, want %d", i, a.MoveWindow, LaneMoveWindow)
-		}
-	}
-}
-
-// TestOptionsLanesWired checks the Options.Lanes plumbing: a Portfolio
-// without explicit Schedulers picks the lanes up from the compiled
-// model's options, deterministically, and the result is never worse
-// than the laneless default portfolio's.
-func TestOptionsLanesWired(t *testing.T) {
-	sys := buildSystem(t, "d695", 6, soc.Leon())
-	ctx := context.Background()
-
-	mBase, err := Compile(sys, Options{PowerLimitFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := Portfolio{Workers: 2}.ScheduleModel(ctx, mBase)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mLanes, err := Compile(sys, Options{PowerLimitFraction: 0.5, Lanes: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res1, err := Portfolio{Workers: 2}.ScheduleModel(ctx, mLanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res1.Results) != len(base.Results)+4 {
-		t.Fatalf("lanes not raced: %d results vs %d laneless", len(res1.Results), len(base.Results))
-	}
-	if res1.Makespan() > base.Makespan() {
-		t.Errorf("lanes worsened the portfolio: %d > %d", res1.Makespan(), base.Makespan())
-	}
-	res2, err := Portfolio{Workers: 1}.ScheduleModel(ctx, mLanes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Makespan() != res2.Makespan() || res1.Best != res2.Best {
-		t.Errorf("lane portfolio not interleaving-independent: workers=2 (%d, %s) vs workers=1 (%d, %s)",
-			res1.Makespan(), res1.Best, res2.Makespan(), res2.Best)
-	}
-
-	if err := (Options{Lanes: -1}).Validate(); err == nil {
-		t.Error("negative lane count validated")
-	}
-}
-
 // countingScheduler wraps a Scheduler and tracks how many Search
 // calls run concurrently, so tests can pin the worker-pool bound.
 type countingScheduler struct {
@@ -413,11 +336,11 @@ func (c countingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent)
 	return c.Scheduler.Search(ctx, m, inc)
 }
 
-// TestLanesRespectWorkerBound checks the -workers/-lanes interaction:
-// however many lanes join the race, the portfolio never runs more
-// schedulers at once than the worker bound — lanes share the pool
+// TestPortfolioRespectsWorkerBound checks the -workers bound: however
+// many searchers join the race, the portfolio never runs more
+// schedulers at once than the worker bound — they share the pool
 // instead of spawning goroutines of their own.
-func TestLanesRespectWorkerBound(t *testing.T) {
+func TestPortfolioRespectsWorkerBound(t *testing.T) {
 	sys := buildSystem(t, "d695", 6, soc.Leon())
 	m, err := Compile(sys, Options{PowerLimitFraction: 0.5})
 	if err != nil {
@@ -425,7 +348,7 @@ func TestLanesRespectWorkerBound(t *testing.T) {
 	}
 	var cur, max int32
 	var scheds []Scheduler
-	for _, s := range LanePortfolio(1, 8) {
+	for _, s := range DefaultPortfolio(1) {
 		scheds = append(scheds, countingScheduler{Scheduler: s, cur: &cur, max: &max})
 	}
 	if _, err := (Portfolio{Schedulers: scheds, Workers: 2}).ScheduleModel(context.Background(), m); err != nil {
@@ -449,13 +372,11 @@ func TestScheduleModelConcurrentSameModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Lane walkers included deliberately: they exercise the delta
-	// kernel's journals and checkpoint pools, exactly the state that
-	// must hang off the run (the evaluator), never the model.
+	// The searchers exercise the kernel's journals and checkpoints,
+	// exactly the state that must hang off the run (the evaluator),
+	// never the model.
 	newPF := func() Portfolio {
 		pf := smallPortfolio(11)
-		pf.Schedulers = append(pf.Schedulers,
-			AnnealingScheduler{Variant: LookaheadFastestFinish, Seed: 15, Steps: 60, MoveWindow: LaneMoveWindow})
 		pf.Workers = 2
 		return pf
 	}

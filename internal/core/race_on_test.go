@@ -2,74 +2,6 @@
 
 package core
 
-import (
-	"context"
-	"testing"
-
-	"noctest/internal/soc"
-)
-
 // raceEnabled lets allocation-count tests skip themselves: the race
 // detector's instrumentation allocates on the paths under test.
 const raceEnabled = true
-
-// TestLanesRaceClean runs a lane-heavy portfolio — six annealing lanes
-// plus the default members — on four workers under the race detector:
-// every lane consumes the shared sealed Incumbent and publishes into
-// the same result slots, so this is the thread-safety proof for the
-// lanes' incumbent sharing. Determinism of the outcome is checked
-// against a single-worker run of the same portfolio.
-func TestLanesRaceClean(t *testing.T) {
-	sys := buildSystem(t, "d695", 6, soc.Leon())
-	m, err := Compile(sys, Options{PowerLimitFraction: 0.5, Lanes: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	par, err := Portfolio{Workers: 4}.ScheduleModel(ctx, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Portfolio{Workers: 1}.ScheduleModel(ctx, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Makespan() != seq.Makespan() || par.Best != seq.Best {
-		t.Errorf("lane race not interleaving-independent: workers=4 (%d, %s) vs workers=1 (%d, %s)",
-			par.Makespan(), par.Best, seq.Makespan(), seq.Best)
-	}
-}
-
-// TestAdaptiveLanesWorkerIndependent is the worker-independence proof
-// for the adaptive lane regime specifically: eight migrating lane
-// walkers (LanePortfolio's Adaptive members) race on four workers
-// against the same portfolio on one worker. Each lane's migration
-// decisions depend only on its own seeded walk and the sealed
-// incumbent it started from, so makespan and winning member must be
-// identical under any interleaving — and the race detector watches the
-// shared incumbent and result slots while they run.
-func TestAdaptiveLanesWorkerIndependent(t *testing.T) {
-	sys := buildSystem(t, "d695", 6, soc.Leon())
-	m, err := Compile(sys, Options{PowerLimitFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	scheds := LanePortfolio(1, 8)
-	par, err := Portfolio{Schedulers: scheds, Workers: 4}.ScheduleModel(ctx, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := Compile(sys, Options{PowerLimitFraction: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Portfolio{Schedulers: scheds, Workers: 1}.ScheduleModel(ctx, m2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Makespan() != seq.Makespan() || par.Best != seq.Best {
-		t.Errorf("adaptive lanes not interleaving-independent: workers=4 (%d, %s) vs workers=1 (%d, %s)",
-			par.Makespan(), par.Best, seq.Makespan(), seq.Best)
-	}
-}

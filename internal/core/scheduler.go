@@ -300,41 +300,13 @@ type AnnealingScheduler struct {
 	// decisions. It exists for the differential tests and costs only
 	// speed.
 	FullReplay bool
-	// MoveWindow, when positive, confines every move to swaps inside
-	// the last MoveWindow+1 positions instead of the default mix of
-	// adaptive tail-window and uniform swaps. This is the lane regime:
-	// small windows keep each neighbour inside the kernel's delta path,
-	// so a walker evaluates moves at several times the mixed-move rate
-	// and spends its budget intensifying around the incumbent basin.
-	// Zero keeps the default move kernel (and the pinned trajectories).
-	MoveWindow int
-	// Adaptive lets a lane walker migrate its move window instead of
-	// pinning it to the tail: the walker tracks per-anchor acceptance
-	// and improvement counts, and an epoch (laneEpoch steps) with no
-	// improving accept slides the window one width toward the front of
-	// the order — wrapping to the historically most productive anchor —
-	// so lane budget chases the positions where swaps actually move the
-	// makespan instead of grinding accepted laterals at the tail. The
-	// policy consumes no extra randomness and reads only per-walker
-	// state, so results stay deterministic per seed and independent of
-	// worker interleaving. Ignored unless MoveWindow selects the lane
-	// regime.
-	Adaptive bool
 }
 
 // DefaultAnnealingSteps is the step budget a zero Steps selects.
 const DefaultAnnealingSteps = 4000
 
-// Name returns "anneal(variant,seed=N,steps=N)", with ",window=N"
-// appended for lane-regime walkers and ",adaptive" for migrating ones.
+// Name returns "anneal(variant,seed=N,steps=N)".
 func (a AnnealingScheduler) Name() string {
-	if a.MoveWindow > 0 {
-		suffix := ""
-		if a.Adaptive {
-			suffix = ",adaptive"
-		}
-		return fmt.Sprintf("anneal(%s,seed=%d,steps=%d,window=%d%s)", a.Variant, a.Seed, a.steps(), a.MoveWindow, suffix)
-	}
 	return fmt.Sprintf("anneal(%s,seed=%d,steps=%d)", a.Variant, a.Seed, a.steps())
 }
 
@@ -348,10 +320,6 @@ func (a AnnealingScheduler) steps() int {
 // annealLocalFraction is the share of annealing moves drawn from the
 // tail window; the remainder are uniform swaps over the whole order.
 const annealLocalFraction = 0.9
-
-// laneEpoch is the adaptive-lane evaluation period: after this many
-// steps without an improving accept, the walker migrates its window.
-const laneEpoch = 128
 
 // annealTailWindow sizes the local-move window for an order of n cores:
 // swaps inside the last window+1 positions replay only that suffix.
@@ -426,24 +394,6 @@ func (a AnnealingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent
 	}
 	n := len(order)
 	window := annealTailWindow(n)
-	lane := a.MoveWindow > 0 && window > 0
-	if lane && a.MoveWindow < window {
-		window = a.MoveWindow
-		if window < 2 {
-			window = 2
-		}
-	}
-	// Adaptive-lane state: anchor is the last position of the move
-	// window (n-1 reproduces the fixed tail regime); improvedAt and
-	// acceptedAt are lifetime per-anchor counts driving migration.
-	adaptive := lane && a.Adaptive && n-1 > window
-	anchor := n - 1
-	var improvedAt, acceptedAt []int
-	epochImproved := 0
-	if adaptive {
-		improvedAt = make([]int, n)
-		acceptedAt = make([]int, n)
-	}
 	t0 := 0.05 * float64(curMs)
 	for step := 0; step < steps; step++ {
 		if err := ctx.Err(); err != nil {
@@ -456,9 +406,9 @@ func (a AnnealingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent
 		// ergodicity. The move-locality histogram in the bench
 		// trajectory records the resulting replay depths.
 		var i, j int
-		if window > 0 && (lane || rng.Float64() < annealLocalFraction) {
+		if window > 0 && rng.Float64() < annealLocalFraction {
 			w := 2 + rng.Intn(window)
-			i = anchor + 1 - w
+			i = n - w
 			j = i + 1 + rng.Intn(w-1)
 		} else {
 			i, j = rng.Intn(n), rng.Intn(n)
@@ -488,45 +438,11 @@ func (a AnnealingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent
 		} else if pruned {
 			order[i], order[j] = order[j], order[i] // rejected, undo
 		} else {
-			if lane && candMs < curMs {
-				m.stats.laneImprove.Add(1)
-			}
-			if adaptive {
-				acceptedAt[anchor]++
-				if candMs < curMs {
-					improvedAt[anchor]++
-					epochImproved++
-				}
-			}
 			curMs = candMs
 			if curMs < bestMs {
 				bestMs = curMs
 				bestOrder = append(bestOrder[:0], order...)
 			}
-		}
-		if adaptive && (step+1)%laneEpoch == 0 {
-			if epochImproved == 0 {
-				// A dry epoch: slide the window one width toward the
-				// front; below the lowest valid anchor, wrap to the most
-				// productive anchor seen so far (ties to the higher
-				// acceptance count, then to the tail).
-				next := anchor - window
-				if next < window {
-					best := n - 1
-					for p := n - 1; p >= window; p-- {
-						if improvedAt[p] > improvedAt[best] ||
-							(improvedAt[p] == improvedAt[best] && acceptedAt[p] > acceptedAt[best]) {
-							best = p
-						}
-					}
-					next = best
-				}
-				if next != anchor {
-					anchor = next
-					m.stats.laneMigrations.Add(1)
-				}
-			}
-			epochImproved = 0
 		}
 	}
 	// No inc.Tighten: the incumbent is sealed during the race (see
@@ -534,11 +450,27 @@ func (a AnnealingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent
 	return best(), nil
 }
 
+// ListRules returns the seven deterministic list-scheduler members:
+// every (interface-choice rule, core order) combination that has shown
+// a win on some benchmark, including the paper's own rule
+// (greedy/processors-first) and its lookahead repair. They lead
+// DefaultPortfolio, and on their own they are the microsecond-scale
+// strategy set a throughput-bound caller races.
+func ListRules() []Scheduler {
+	return []Scheduler{
+		ListScheduler{GreedyFirstAvailable, ProcessorsFirst},
+		ListScheduler{LookaheadFastestFinish, ProcessorsFirst},
+		ListScheduler{GreedyFirstAvailable, VolumeDescending},
+		ListScheduler{LookaheadFastestFinish, VolumeDescending},
+		ListScheduler{GreedyFirstAvailable, LongestTestFirst},
+		ListScheduler{LookaheadFastestFinish, LongestTestFirst},
+		ListScheduler{LookaheadFastestFinish, DistanceOnly},
+	}
+}
+
 // DefaultPortfolio returns the standard scheduler set ScheduleBest
-// races: every list-scheduler combination that has shown a win on some
-// benchmark plus the seeded searches. The paper's own rule
-// (greedy/processors-first) and its lookahead repair are always
-// included, so the portfolio result is never worse than either. The
+// races: the ListRules members plus the seeded searches, so the
+// portfolio result is never worse than any list rule. The
 // annealers are staged across budgets (and seeds): short chains
 // converge fast and cover more basins, and the long chains spend the
 // throughput the incremental kernel recovered. Growing the long-chain
@@ -548,14 +480,7 @@ func (a AnnealingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent
 // what the quality-path orders/s figure in BENCH_schedule.json
 // measures.
 func DefaultPortfolio(seed int64) []Scheduler {
-	return []Scheduler{
-		ListScheduler{GreedyFirstAvailable, ProcessorsFirst},
-		ListScheduler{LookaheadFastestFinish, ProcessorsFirst},
-		ListScheduler{GreedyFirstAvailable, VolumeDescending},
-		ListScheduler{LookaheadFastestFinish, VolumeDescending},
-		ListScheduler{GreedyFirstAvailable, LongestTestFirst},
-		ListScheduler{LookaheadFastestFinish, LongestTestFirst},
-		ListScheduler{LookaheadFastestFinish, DistanceOnly},
+	return append(ListRules(),
 		RandomRestartScheduler{Variant: LookaheadFastestFinish, Seed: seed},
 		AnnealingScheduler{Variant: LookaheadFastestFinish, Seed: seed + 1, Steps: 300},
 		AnnealingScheduler{Variant: LookaheadFastestFinish, Seed: seed + 2, Steps: 1200},
@@ -563,35 +488,5 @@ func DefaultPortfolio(seed int64) []Scheduler {
 		AnnealingScheduler{Variant: LookaheadFastestFinish, Seed: seed + 4},
 		AnnealingScheduler{Variant: LookaheadFastestFinish, Seed: seed + 5},
 		AnnealingScheduler{Variant: LookaheadFastestFinish, Seed: seed + 6},
-	}
-}
-
-// LaneMoveWindow is the tail-window size lane walkers draw moves from:
-// small enough that every neighbour stays inside the kernel's delta
-// path, large enough that the walk still reorders more than one pair.
-const LaneMoveWindow = 3
-
-// LanePortfolio returns DefaultPortfolio plus lanes additional
-// independently-seeded annealing walkers in the adaptive lane regime
-// (moves confined to a LaneMoveWindow window whose anchor migrates
-// toward productive positions, where the delta kernel scores
-// neighbours without suffix replays). The lanes share the
-// portfolio's sealed incumbent like every other member, so each lane's
-// result is interleaving-independent and the portfolio best can only
-// improve on the default set. lanes <= 0 returns DefaultPortfolio
-// unchanged; lane seeds follow the default members' block.
-func LanePortfolio(seed int64, lanes int) []Scheduler {
-	scheds := DefaultPortfolio(seed)
-	// Lane seeds start past the default portfolio's own seed range
-	// (seed+1..seed+6), so no walker shares a stream with a full-window
-	// member.
-	for l := 0; l < lanes; l++ {
-		scheds = append(scheds, AnnealingScheduler{
-			Variant:    LookaheadFastestFinish,
-			Seed:       seed + 7 + int64(l),
-			MoveWindow: LaneMoveWindow,
-			Adaptive:   true,
-		})
-	}
-	return scheds
+	)
 }

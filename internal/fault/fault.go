@@ -2,26 +2,26 @@
 // serving layer's robustness tests. An Injector owns a set of named
 // failure points — places in the server where production has seen (or
 // will see) things go wrong: a compile that errors, a compile that
-// stalls, a scheduler that panics, a result-store write that fails, a
-// journal record torn in half by a crash. Each point carries a firing
-// probability drawn from its own seeded stream, so the nth decision at
-// a point is a pure function of (seed, point, n) no matter how calls
-// to *other* points interleave — a chaos run is reproducible from its
-// seed alone.
+// stalls, a scheduler that panics or stalls, a result-store write that
+// fails, a journal record torn in half by a crash. Each point carries a
+// firing probability drawn from its own seeded stream, so the nth
+// decision at a point is a pure function of (seed, point, n) no matter
+// how calls to *other* points interleave — a chaos run is reproducible
+// from its seed alone.
 //
 // Injection is off by default everywhere: a nil *Injector is valid,
 // answers "no" at every point for free, and is what production runs.
 // Tests and chaos drills enable it with a spec string:
 //
-//	seed=7;compile.err=0.2;compile.slow=0.1:25ms;sched.panic=0.05;store.write=0.3
+//	seed=7;compile.err=0.2;compile.slow=0.1:25ms;sched.panic=0.05;sched.slow=0.1:1s;store.write=0.3
 //
 // Grammar: entries separated by ";" (whitespace around entries is
 // ignored). "seed=N" sets the decision seed (default 1). Every other
 // entry is "<point>=<probability>" with an optional ":<duration>"
-// argument (used by delay points such as compile.slow). Probabilities
-// are floats in [0, 1]; unknown point names are errors so a typo can
-// never silently disable a drill. The empty string and "off" parse to
-// a nil Injector.
+// argument (used by the delay points compile.slow and sched.slow).
+// Probabilities are floats in [0, 1]; unknown point names are errors so
+// a typo can never silently disable a drill. The empty string and "off"
+// parse to a nil Injector.
 package fault
 
 import (
@@ -51,6 +51,11 @@ const (
 	// SchedPanic adds a panicking strategy to a request's portfolio
 	// race, exercising the engine's panic isolation.
 	SchedPanic Point = "sched.panic"
+	// SchedSlow adds a strategy to a request's portfolio race that
+	// waits out the point's duration argument (default 10ms) or the
+	// request's context, whichever ends first, and finds nothing: a
+	// race that outlasts any deadline shorter than the argument.
+	SchedSlow Point = "sched.slow"
 	// StoreWrite makes a result-store append fail cleanly: nothing is
 	// written, the store stays usable.
 	StoreWrite Point = "store.write"
@@ -61,7 +66,7 @@ const (
 )
 
 // Points lists every known failure point, in spec order.
-var Points = []Point{CompileErr, CompileSlow, SchedPanic, StoreWrite, StoreTorn}
+var Points = []Point{CompileErr, CompileSlow, SchedPanic, SchedSlow, StoreWrite, StoreTorn}
 
 // ErrInjected marks an error as injected by a fault drill rather than
 // produced by real work. Handlers classify injected failures as

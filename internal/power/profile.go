@@ -168,7 +168,7 @@ func (p *Profile) Add(start, end int, amount float64) {
 	if end <= start {
 		return
 	}
-	i, _ := p.ensureBoundaryAt(start)
+	i := p.ensureBoundaryAt(start)
 	// The end boundary is found by walking forward from start — the
 	// same segments the load bump must visit anyway — instead of a
 	// second search from the top. j lands on the first boundary at or
@@ -220,12 +220,11 @@ func (p *Profile) ensureBoundary(t int) {
 	p.ensureBoundaryAt(t)
 }
 
-// ensureBoundaryAt is ensureBoundary reporting the boundary's index and
-// whether it had to be inserted, so journaled commits can undo exactly.
-func (p *Profile) ensureBoundaryAt(t int) (int, bool) {
+// ensureBoundaryAt is ensureBoundary reporting the boundary's index.
+func (p *Profile) ensureBoundaryAt(t int) int {
 	i := p.segmentBefore(t)
 	if i >= 0 && p.times[i] == t {
-		return i, false
+		return i
 	}
 	load := 0.0
 	if i >= 0 {
@@ -237,161 +236,7 @@ func (p *Profile) ensureBoundaryAt(t int) (int, bool) {
 	copy(p.loads[i+2:], p.loads[i+1:])
 	p.times[i+1] = t
 	p.loads[i+1] = load
-	return i + 1, true
-}
-
-// removeBoundary deletes boundary i, merging its segment into the
-// predecessor. It is the exact inverse of an ensureBoundaryAt insertion
-// at the same index when the surrounding loads have been restored.
-func (p *Profile) removeBoundary(i int) {
-	copy(p.times[i:], p.times[i+1:])
-	copy(p.loads[i:], p.loads[i+1:])
-	p.times = p.times[:len(p.times)-1]
-	p.loads = p.loads[:len(p.loads)-1]
-}
-
-// journalOp records the exact array edits of one journaled reservation:
-// which boundaries it inserted (post-insert indices, -1 when the
-// boundary already existed) and which load window it bumped, whose old
-// values sit at the tail of the journal's value arena.
-type journalOp struct {
-	insStart, insEnd int
-	win, n           int
-}
-
-// Journal is an undo log for journaled Profile commits. The search
-// kernel journals every reservation of a pass and rewinds by popping:
-// undoing restores the profile's arrays bitwise — the recorded old load
-// values are copied back and the inserted boundaries removed — so a
-// rewound profile is indistinguishable from one that never saw the
-// undone reservations, float rounding included. That exactness is what
-// lets incremental evaluation reproduce full replays bit for bit. A
-// Journal pairs with one Profile; interleaving two profiles in one
-// journal corrupts both.
-type Journal struct {
-	ops  []journalOp
-	vals []float64
-}
-
-// Reset empties the journal in place, keeping its backing arrays.
-func (j *Journal) Reset() {
-	j.ops = j.ops[:0]
-	j.vals = j.vals[:0]
-}
-
-// Mark returns the current journal position for a later Undo. Every
-// journaled call appends exactly one op, so marks count calls.
-func (j *Journal) Mark() int { return len(j.ops) }
-
-// Undo pops journaled reservations down to mark, restoring the profile
-// to its exact state when Mark returned: newest first, each op's load
-// window is copied back from the arena and its inserted boundaries
-// removed (highest index first, so recorded indices stay valid).
-func (j *Journal) Undo(p *Profile, mark int) {
-	for k := len(j.ops) - 1; k >= mark; k-- {
-		op := j.ops[k]
-		if op.n > 0 {
-			base := len(j.vals) - op.n
-			copy(p.loads[op.win:op.win+op.n], j.vals[base:])
-			j.vals = j.vals[:base]
-		}
-		if op.insEnd >= 0 {
-			p.removeBoundary(op.insEnd)
-		}
-		if op.insStart >= 0 {
-			p.removeBoundary(op.insStart)
-		}
-	}
-	j.ops = j.ops[:mark]
-}
-
-// TryAddJournaled is TryAdd recording its edits in j so they can be
-// undone bitwise. Like TryAdd, a failed probe still leaves the window's
-// boundaries ensured (the op records them, so Undo removes them too)
-// and the loads untouched. Every call appends exactly one op.
-func (p *Profile) TryAddJournaled(start, end int, amount float64, j *Journal) bool {
-	if amount < 0 || end <= start {
-		j.ops = append(j.ops, journalOp{insStart: -1, insEnd: -1})
-		return false
-	}
-	op := journalOp{insStart: -1, insEnd: -1}
-	if i, ins := p.ensureBoundaryAt(start); ins {
-		op.insStart = i
-	}
-	if i, ins := p.ensureBoundaryAt(end); ins {
-		op.insEnd = i
-	}
-	i := p.segmentBefore(start)
-	if p.limit != Unlimited {
-		for k := i; k < len(p.times) && p.times[k] < end; k++ {
-			if p.loads[k]+amount > p.limit+1e-9 {
-				j.ops = append(j.ops, op)
-				return false
-			}
-		}
-	}
-	op.win = i
-	for ; i < len(p.times) && p.times[i] < end; i++ {
-		j.vals = append(j.vals, p.loads[i])
-		p.loads[i] += amount
-		op.n++
-	}
-	j.ops = append(j.ops, op)
-	return true
-}
-
-// AddJournaled records a reservation unconditionally, journaling its
-// edits like TryAddJournaled. It exists for reservations already proven
-// feasible (the kernel's committed placements and the delta
-// fast-forward path), where the ceiling probe would be wasted work; the
-// committed arrays are identical to what TryAddJournaled would have
-// produced. The whole edit runs off a single boundary search: the end
-// boundary is found by walking forward through the (short) window
-// instead of a second binary search.
-func (p *Profile) AddJournaled(start, end int, amount float64, j *Journal) {
-	if end <= start {
-		j.ops = append(j.ops, journalOp{insStart: -1, insEnd: -1})
-		return
-	}
-	op := journalOp{insStart: -1, insEnd: -1}
-	i := p.segmentBefore(start)
-	if i < 0 {
-		p.insertBoundary(0, start, 0)
-		op.insStart = 0
-		i = 0
-	} else if p.times[i] != start {
-		p.insertBoundary(i+1, start, p.loads[i])
-		op.insStart = i + 1
-		i++
-	}
-	e := i
-	for e < len(p.times) && p.times[e] < end {
-		e++
-	}
-	if e == len(p.times) || p.times[e] != end {
-		// times[i] == start < end, so e >= i+1 and loads[e-1] is the
-		// load of the segment the new boundary splits.
-		p.insertBoundary(e, end, p.loads[e-1])
-		op.insEnd = e
-	}
-	op.win = i
-	op.n = e - i
-	for ; i < e; i++ {
-		j.vals = append(j.vals, p.loads[i])
-		p.loads[i] += amount
-	}
-	j.ops = append(j.ops, op)
-}
-
-// insertBoundary inserts a boundary opening segment [t, ...) with the
-// given load at index i, shifting later boundaries up.
-func (p *Profile) insertBoundary(i, t int, load float64) {
-	p.times = append(p.times, 0)
-	p.loads = append(p.loads, 0)
-	copy(p.times[i+1:], p.times[i:])
-	copy(p.loads[i+1:], p.loads[i:])
-	p.times[i] = t
-	p.loads[i] = load
+	return i + 1
 }
 
 // ProfileSnapshot is a saved Profile state. Snapshots are plain value

@@ -45,28 +45,11 @@ type ScheduleBenchRecord struct {
 	// restart shuffles); high buckets hold the suffix-local moves the
 	// incremental kernel scores almost for free.
 	MoveLocalityDeciles []uint64 `json:"move_locality_deciles"`
-	// DeltaHitRate is the fraction of evaluated orders the kernel's
-	// delta path resolved without replaying the suffix (checkpoint
-	// match + journal fast-forward, or a bound rejection restored from
-	// the reference log), over the timed runs.
+	// DeltaHitRate is the fraction of evaluated orders the kernel
+	// answered from its checkpoints with zero placements (a resubmitted
+	// order, or a reused prefix already over the bound), over the timed
+	// runs.
 	DeltaHitRate float64 `json:"delta_hit_rate"`
-	// DeltaAdjacentRate is the fraction of evaluated orders the O(1)
-	// adjacent-swap/no-op rule resolved with no replay at all — a
-	// subset of DeltaHitRate.
-	DeltaAdjacentRate float64 `json:"delta_adjacent_rate"`
-	// DeltaFallbacks classifies why delta-eligible evaluations missed
-	// the splice, by reason (see core.SearchStats): frontier mismatch,
-	// reservation mismatch, span overlap (float-order hazard), empty
-	// suffix, failed adjacent-rule precondition.
-	DeltaFallbacks map[string]uint64 `json:"delta_fallbacks"`
-	// LaneMigrations counts adaptive-lane anchor moves over the timed
-	// runs; LaneImprovements counts lane moves that strictly improved a
-	// walker's current makespan.
-	LaneMigrations   uint64 `json:"lane_migrations"`
-	LaneImprovements uint64 `json:"lane_improvements"`
-	// Lanes is the number of extra lane walkers (core.LanePortfolio)
-	// the row was measured with; 0 is the default portfolio.
-	Lanes int `json:"lanes"`
 }
 
 // ScheduleBench is the full perf-trajectory document.
@@ -123,12 +106,11 @@ func CanonicalSystem(benchName string) (*soc.System, core.Options, error) {
 // RunScheduleBench measures every named benchmark (nil selects all
 // embedded benchmarks) under the canonical portfolio configuration:
 // Leon processors at full reuse, the paper's 50% power ceiling and BIST
-// factor, default portfolio with the given seed plus lanes extra lane
-// walkers (lanes <= 0 measures the default portfolio alone). Each
+// factor, default portfolio with the given seed. Each
 // benchmark is scheduled benchRuns+1 times — one warm-up, then timed
 // runs — and the mean wall time and (seed-deterministic) best makespan
 // are recorded.
-func RunScheduleBench(ctx context.Context, benchmarks []string, seed int64, workers, lanes int) (*ScheduleBench, error) {
+func RunScheduleBench(ctx context.Context, benchmarks []string, seed int64, workers int) (*ScheduleBench, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = itc02.BenchmarkNames()
 	}
@@ -137,10 +119,7 @@ func RunScheduleBench(ctx context.Context, benchmarks []string, seed int64, work
 		Workers: workers,
 		Options: fmt.Sprintf("leon/full-reuse/power=%g/bist=%g", PaperPowerFraction, PaperBISTFactor),
 	}
-	if lanes < 0 {
-		lanes = 0
-	}
-	pf := core.Portfolio{Schedulers: core.LanePortfolio(seed, lanes), Workers: workers}
+	pf := core.Portfolio{Schedulers: core.DefaultPortfolio(seed), Workers: workers}
 	for _, benchName := range benchmarks {
 		sys, opts, err := CanonicalSystem(benchName)
 		if err != nil {
@@ -180,17 +159,6 @@ func RunScheduleBench(ctx context.Context, benchmarks []string, seed int64, work
 			OrdersPerSecond:     float64(agg.Orders) / elapsed.Seconds(),
 			MoveLocalityDeciles: deciles,
 			DeltaHitRate:        float64(agg.DeltaHits) / float64(agg.Orders),
-			DeltaAdjacentRate:   float64(agg.DeltaAdjacent) / float64(agg.Orders),
-			DeltaFallbacks: map[string]uint64{
-				"frontier_mismatch":    agg.FallbackFrontier,
-				"reservation_mismatch": agg.FallbackReservation,
-				"span_overlap":         agg.FallbackOverlap,
-				"no_suffix":            agg.FallbackNoSuffix,
-				"adjacent_rule":        agg.FallbackAdjacent,
-			},
-			LaneMigrations:   agg.LaneMigrations,
-			LaneImprovements: agg.LaneImprovements,
-			Lanes:            lanes,
 		})
 	}
 	return out, nil

@@ -104,7 +104,7 @@ import (
 // finding); the rest are the scheduling oracles described in the
 // package comment.
 var oracleNames = []string{
-	"build", "compile", "incremental-replay", "delta-replay", "schedule",
+	"build", "compile", "incremental-replay", "schedule",
 	"validate", "lower-bound", "more-processors-help", "more-power-helps",
 	"preemption-dominance", "replay-window",
 	"mesh-torus-identity", "mesh-degraded-identity", "single-segment-identity",
@@ -314,14 +314,6 @@ func (e Engine) check(ctx context.Context, sc socgen.Scenario, only string) (*Re
 				return nil, ctx.Err()
 			}
 			fail(reg.name, "incremental-replay", err)
-			continue
-		}
-		rep.Checked["delta-replay"]++
-		if err := deltaReplayCheck(ctx, m, sc.Seed); err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			fail(reg.name, "delta-replay", err)
 			continue
 		}
 		rep.Checked["schedule"]++
@@ -646,20 +638,27 @@ func singleSegmentIdentity(ctx context.Context, sys *soc.System, resume int) (er
 	return nil, nil
 }
 
-// incrementalReplaySteps is the length of the random walk of related
-// orders the incremental-replay oracle scores per (regime, variant).
-const incrementalReplaySteps = 10
+// incrementalReplaySteps is the length of the walk of related orders
+// the incremental-replay oracle scores per (regime, variant). A
+// multiple of 8 so every move class in the modular schedule below gets
+// equal coverage.
+const incrementalReplaySteps = 48
 
 // incrementalReplayCheck is the differential oracle for the incremental
-// search kernel: it walks a seeded chain of random order mutations —
-// the access pattern the annealer drives the kernel with — scoring each
-// order both through a persistent core.Evaluator (which replays only
-// divergent suffixes over its internal checkpoints) and through the
-// stateless full-replay path, under the same early-abort bound. The two
-// paths must agree exactly: same makespan, same pruned flag, same
-// success/failure. Any disagreement means a checkpoint restored stale
-// state or an abort fired unsoundly, and fails the scenario (the
-// shrinker then minimises it like any other oracle violation).
+// search kernel: it walks a seeded chain of the move shapes local
+// search emits — pure adjacent swaps, no-op resubmissions of the
+// identical order, swaps at the final position, near-adjacent swaps
+// inside a window whose anchor sweeps across the order, and an
+// occasional uniform swap — scoring each order both through a
+// persistent core.Evaluator (which replays only divergent suffixes
+// over its internal checkpoints) and through the stateless full-replay
+// path, under the same early-abort bound. Bounds alternate so the walk
+// exercises completed, tied and aborted evaluations, including aborts
+// answered from the reused prefix alone. The two paths must agree
+// exactly: same makespan, same pruned flag, same success/failure. Any
+// disagreement means a checkpoint restored stale state or an abort
+// fired unsoundly, and fails the scenario (the shrinker then minimises
+// it like any other oracle violation).
 func incrementalReplayCheck(ctx context.Context, m *core.Model, seed int64) error {
 	rng := rand.New(rand.NewSource(seed ^ 0x1c4e))
 	for _, v := range []core.Variant{core.GreedyFirstAvailable, core.LookaheadFastestFinish} {
@@ -667,13 +666,42 @@ func incrementalReplayCheck(ctx context.Context, m *core.Model, seed int64) erro
 		order := append([]int(nil), m.DefaultOrder()...)
 		n := len(order)
 		prevMs := 0
+		anchor := 0
 		for step := 0; step < incrementalReplaySteps; step++ {
 			if step > 0 && n >= 2 {
-				i, j := rng.Intn(n), rng.Intn(n)
-				order[i], order[j] = order[j], order[i]
+				switch step % 8 {
+				case 5:
+					// Uniform swap: arbitrary distance, a deep replay.
+					i, j := rng.Intn(n), rng.Intn(n)
+					order[i], order[j] = order[j], order[i]
+				case 6:
+					// No-op: resubmit the identical order. The kernel must
+					// answer from its final checkpoint without placing
+					// anything.
+				case 7:
+					// Swap at the final position: the shortest suffix.
+					order[n-2], order[n-1] = order[n-1], order[n-2]
+				case 3:
+					// Pure adjacent swap at a random position.
+					i := rng.Intn(n - 1)
+					order[i], order[i+1] = order[i+1], order[i]
+				default:
+					// Near-adjacent swap in a window of up to 4 whose
+					// anchor sweeps forward across the order, so replays
+					// start at every depth.
+					w := 2 + rng.Intn(3)
+					if w > n-1 {
+						w = n - 1
+					}
+					if anchor > n-1-w {
+						anchor = 0
+					}
+					i := anchor
+					j := i + 1 + rng.Intn(w)
+					order[i], order[j] = order[j], order[i]
+					anchor += 1 + rng.Intn(3)
+				}
 			}
-			// Alternate bounds so the walk exercises completed, tied and
-			// aborted evaluations against the same full replay.
 			bound := 0
 			switch {
 			case step%3 == 1 && prevMs > 0:
@@ -707,123 +735,6 @@ func incrementalReplayCheck(ctx context.Context, m *core.Model, seed int64) erro
 			}
 		}
 		ev.Close()
-	}
-	return nil
-}
-
-// deltaReplaySteps is the length of the window-move walk the
-// delta-replay oracle scores per (regime, variant). A multiple of 8 so
-// every move class in the modular schedule below gets equal coverage.
-const deltaReplaySteps = 48
-
-// deltaReplayCheck is the differential oracle for the kernel's
-// delta-evaluation path: it walks a seeded chain of the move shapes
-// local search actually emits — pure adjacent swaps (the O(1) rule),
-// no-op resubmissions of the identical order, tail-adjacent swaps at
-// the final position (the reference-crossing case), near-adjacent
-// swaps inside a window whose anchor sweeps across the order the way
-// an adaptive lane's MoveWindow migrates, and an occasional uniform
-// swap for the fallback paths — and scores each order through three
-// arms that must agree exactly: a delta-enabled Evaluator, a second
-// Evaluator with the delta path disabled (forced suffix replay over
-// the same checkpoints), and the stateless full replay. Bounds
-// alternate like the incremental-replay oracle's so accepted, tied and
-// bound-aborted moves (including the restore-from-reference rollback)
-// are all exercised, on plain and preemptive regimes alike. Any
-// disagreement — makespan, pruned flag or feasibility — fails the
-// scenario and goes to the shrinker.
-func deltaReplayCheck(ctx context.Context, m *core.Model, seed int64) error {
-	rng := rand.New(rand.NewSource(seed ^ 0x7de1))
-	for _, v := range []core.Variant{core.GreedyFirstAvailable, core.LookaheadFastestFinish} {
-		evD := m.NewEvaluator(v)
-		evR := m.NewEvaluator(v)
-		evR.SetDeltaEnabled(false)
-		order := append([]int(nil), m.DefaultOrder()...)
-		n := len(order)
-		if n < 3 {
-			evD.Close()
-			evR.Close()
-			continue
-		}
-		prevMs := 0
-		anchor := 0
-		for step := 0; step < deltaReplaySteps; step++ {
-			if step > 0 {
-				switch step % 8 {
-				case 5:
-					// Uniform swap: arbitrary distance, for the
-					// frontier/reservation fallback paths.
-					i, j := rng.Intn(n), rng.Intn(n)
-					order[i], order[j] = order[j], order[i]
-				case 6:
-					// No-op: resubmit the identical order. The kernel
-					// must answer from the reference without replaying.
-				case 7:
-					// Tail-adjacent swap at the final position — the
-					// crossing case where the candidate ends exactly at
-					// the reference's last checkpoint.
-					order[n-2], order[n-1] = order[n-1], order[n-2]
-				case 3:
-					// Pure adjacent swap at a random position: the O(1)
-					// commutation rule.
-					i := rng.Intn(n - 1)
-					order[i], order[i+1] = order[i+1], order[i]
-				default:
-					// Near-adjacent swap in a window of up to 4 whose
-					// anchor sweeps forward across the order, the move
-					// stream an adaptive lane's migrating MoveWindow
-					// produces.
-					w := 2 + rng.Intn(3)
-					if w > n-1 {
-						w = n - 1
-					}
-					if anchor > n-1-w {
-						anchor = 0
-					}
-					i := anchor
-					j := i + 1 + rng.Intn(w)
-					order[i], order[j] = order[j], order[i]
-					anchor += 1 + rng.Intn(3)
-				}
-			}
-			bound := 0
-			switch {
-			case step%3 == 1 && prevMs > 0:
-				bound = prevMs
-			case step%3 == 2 && prevMs > 1:
-				bound = prevMs - 1
-			}
-			dMs, dPruned, dErr := evD.Evaluate(ctx, order, bound)
-			rMs, rPruned, rErr := evR.Evaluate(ctx, order, bound)
-			fullMs, fullPruned, fullErr := m.MakespanBounded(ctx, v, order, bound)
-			if err := ctx.Err(); err != nil {
-				evD.Close()
-				evR.Close()
-				return err
-			}
-			if (dErr != nil) != (fullErr != nil) || (rErr != nil) != (fullErr != nil) {
-				evD.Close()
-				evR.Close()
-				return fmt.Errorf(
-					"delta walk step %d (%s, bound %d): feasibility disagrees: delta err %v, replay err %v, full err %v",
-					step, v, bound, dErr, rErr, fullErr)
-			}
-			if fullErr != nil {
-				continue // all three infeasible: nothing to compare
-			}
-			if dMs != fullMs || dPruned != fullPruned || rMs != fullMs || rPruned != fullPruned {
-				evD.Close()
-				evR.Close()
-				return fmt.Errorf(
-					"delta walk step %d (%s, bound %d): delta (ms %d, pruned %v) vs forced replay (ms %d, pruned %v) vs full (ms %d, pruned %v)",
-					step, v, bound, dMs, dPruned, rMs, rPruned, fullMs, fullPruned)
-			}
-			if !fullPruned {
-				prevMs = fullMs
-			}
-		}
-		evD.Close()
-		evR.Close()
 	}
 	return nil
 }
