@@ -234,7 +234,7 @@ func BenchmarkSchedule(b *testing.B) {
 // largest one — across worker pool sizes up to GOMAXPROCS. Each run
 // reports the greedy and portfolio makespans so the search win is
 // visible next to its wall time; the ns/op of the portfolio runs is the
-// per-ScheduleBest cost tracked in BENCH_schedule.json.
+// per-ScheduleBest cost cmd/benchgate gates.
 func BenchmarkPortfolio(b *testing.B) {
 	for _, benchName := range []string{"p22810", "p93791"} {
 		benchName := benchName

@@ -14,10 +14,11 @@
 //
 // Two families of metric are gated independently for every benchmark:
 //
-//   - Speed: orders_per_sec (higher is better) when both files report
-//     it, and ns/op (lower is better) otherwise, so the gate still
-//     works against baselines recorded before the throughput metric
-//     existed. Gated with -threshold.
+//   - Speed: ns/op (lower is better, the wall time of one op) and
+//     orders_per_sec (higher is better), each whenever both files
+//     report it. Gated with -threshold. Wall time is gated on its own
+//     because a change can score more orders per second and still
+//     deliver each result later.
 //   - Quality: every cycles_* metric present in both files (lower is
 //     better — these are best-makespan constants, deterministic per
 //     seed). Gated with -quality-threshold, default 0: any worsened
@@ -178,12 +179,13 @@ func compare(base, head samples, filter string, threshold, qualityThreshold, alp
 
 	var out []verdict
 	for _, name := range names {
-		unit, higherBetter := "orders_per_sec", true
-		if len(base[name][unit]) == 0 || len(head[name][unit]) == 0 {
-			unit, higherBetter = "ns/op", false
-		}
-		if v := judge(base, head, name, unit, higherBetter, threshold, alpha, minSamples); v != nil {
-			out = append(out, *v)
+		for _, speed := range []struct {
+			unit         string
+			higherBetter bool
+		}{{"ns/op", false}, {"orders_per_sec", true}} {
+			if v := judge(base, head, name, speed.unit, speed.higherBetter, threshold, alpha, minSamples); v != nil {
+				out = append(out, *v)
+			}
 		}
 		// Quality gate: every cycles_* metric both sides report is a
 		// best-makespan constant — lower is better, and with the default

@@ -75,15 +75,45 @@ func TestCompareGatesRegressions(t *testing.T) {
 			t.Fatal(err)
 		}
 		vs := compare(bs, hs, "BenchmarkPortfolio", 0.10, 0, 0.05, 4)
-		if len(vs) != 1 {
-			t.Fatalf("%s: want 1 verdict, got %v", tc.label, vs)
+		if len(vs) != 2 || vs[0].unit != "ns/op" || vs[1].unit != "orders_per_sec" {
+			t.Fatalf("%s: want ns/op and orders_per_sec verdicts, got %v", tc.label, vs)
 		}
-		if vs[0].regressed != tc.regressed {
+		if vs[0].regressed {
+			t.Errorf("%s: equal ns/op flagged as regression: %+v", tc.label, vs[0])
+		}
+		if vs[1].regressed != tc.regressed {
 			t.Errorf("%s: regressed = %v (delta %.1f%%, p=%.3f), want %v",
-				tc.label, vs[0].regressed, vs[0].delta*100, vs[0].p, tc.regressed)
+				tc.label, vs[1].regressed, vs[1].delta*100, vs[1].p, tc.regressed)
 		}
-		if vs[0].unit != "orders_per_sec" {
-			t.Errorf("%s: gated on %s, want orders_per_sec", tc.label, vs[0].unit)
+	}
+}
+
+// TestCompareGatesWallTime pins the wall-time gate: at equal
+// orders_per_sec, a 30% slower ns/op fails on its own.
+func TestCompareGatesWallTime(t *testing.T) {
+	name := "BenchmarkPortfolio/p93791/portfolio_workers1"
+	render := func(ns []float64) string {
+		out := ""
+		for _, v := range ns {
+			out += name + "-1   1  " + strconv.FormatFloat(v, 'f', -1, 64) + " ns/op  500000 orders_per_sec\n"
+		}
+		return out
+	}
+	bs, err := parseBenchFile(writeBench(t, "base.txt", render([]float64{1000000, 1010000, 990000, 1005000, 995000, 1002000})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs, err := parseBenchFile(writeBench(t, "head.txt", render([]float64{1300000, 1313000, 1287000, 1306500, 1293500, 1302600})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := compare(bs, hs, "BenchmarkPortfolio", 0.10, 0, 0.05, 4)
+	if len(vs) != 2 {
+		t.Fatalf("want ns/op and orders_per_sec verdicts, got %+v", vs)
+	}
+	for _, v := range vs {
+		if want := v.unit == "ns/op"; v.regressed != want {
+			t.Errorf("%s: regressed = %v (delta %+.1f%%, p=%.3f), want %v", v.unit, v.regressed, v.delta*100, v.p, want)
 		}
 	}
 }
@@ -181,8 +211,8 @@ func TestCompareGatesQuality(t *testing.T) {
 			t.Fatal(err)
 		}
 		vs := compare(bs, hs, "BenchmarkPortfolio", 0.10, 0, 0.05, 4)
-		if len(vs) != 2 {
-			t.Fatalf("%s: want speed + quality verdicts, got %+v", tc.label, vs)
+		if len(vs) != 3 {
+			t.Fatalf("%s: want two speed verdicts + one quality verdict, got %+v", tc.label, vs)
 		}
 		var quality *verdict
 		for i := range vs {

@@ -10,7 +10,6 @@
 //	noctest -bench p22810 -portfolio -seed 42
 //	noctest -all -timeout 2m
 //	noctest -all -bench d695,p22810
-//	noctest -bench-json BENCH_schedule.json
 //	noctest -sweep 200 -seed 1 -sweep-out sweep.json
 //	noctest -sweep 50 -sweep-preempt preemptive
 //	noctest -bench d695 -serve-url http://127.0.0.1:8080
@@ -20,9 +19,7 @@
 // statistics next to the winning plan; -all sweeps benchmarks across
 // power limits, reuse counts and link modes through the batch engine
 // (every embedded benchmark by default, or a comma-separated -bench
-// list); -bench-json writes the machine-readable perf trajectory
-// (best makespan and ns per ScheduleBest call per benchmark) used to
-// track engine regressions across PRs; -sweep runs the randomized
+// list); -sweep runs the randomized
 // scenario-sweep verification engine (internal/verify) over N generated
 // systems, writes the JSON summary (oracle tallies, worst lower-bound
 // gap, embedded-benchmark gap records), shrinks any failing scenario to
@@ -87,7 +84,6 @@ type config struct {
 	seed      int64
 	workers   int
 	timeout   time.Duration
-	benchJSON string
 
 	sweep         int
 	sweepTopology string
@@ -101,7 +97,7 @@ type config struct {
 
 func main() {
 	var c config
-	flag.StringVar(&c.bench, "bench", "d695", "benchmark: d695, p22810, p93791, or a path to a .soc file; with -all/-bench-json, a comma-separated list of embedded benchmark names")
+	flag.StringVar(&c.bench, "bench", "d695", "benchmark: d695, p22810, p93791, or a path to a .soc file; with -all, a comma-separated list of embedded benchmark names")
 	flag.StringVar(&c.cpu, "cpu", "leon", "processor profile: leon or plasma")
 	flag.StringVar(&c.topology, "topology", "mesh", "NoC fabric: mesh or torus")
 	flag.IntVar(&c.failed, "failed-links", 0, "fail this many NoC channels (sampled deterministically from -seed, routes detour around them)")
@@ -126,7 +122,6 @@ func main() {
 	flag.Int64Var(&c.seed, "seed", 1, "seed for the portfolio's randomized searches")
 	flag.IntVar(&c.workers, "workers", 0, "concurrent scheduler runs (0: GOMAXPROCS)")
 	flag.DurationVar(&c.timeout, "timeout", 0, "overall deadline for portfolio/batch runs (0: none)")
-	flag.StringVar(&c.benchJSON, "bench-json", "", "write the machine-readable perf trajectory (BENCH_schedule.json) to this path and exit")
 	flag.IntVar(&c.sweep, "sweep", 0, "run the scenario-sweep verification engine over this many generated systems and exit non-zero on any oracle violation")
 	flag.StringVar(&c.sweepTopology, "sweep-topology", "", "force every sweep scenario onto one fabric (mesh, torus, degraded); empty mixes all three")
 	flag.StringVar(&c.sweepPreempt, "sweep-preempt", "", "force every sweep scenario's scheduling mode (plain, preemptive); empty mixes both")
@@ -136,20 +131,11 @@ func main() {
 	flag.StringVar(&c.memProfile, "memprofile", "", "write a pprof heap profile at the end of the run to this path")
 	flag.Parse()
 	// Flags that a mode ignores are reported, not silently dropped.
-	ignoredByBenchJSON := map[string]bool{
-		"cpu": true, "procs": true, "reuse": true, "power": true, "bist": true,
-		"variant": true, "priority": true, "exclusive-links": true, "app": true,
-		"wrapper": true, "verify": true, "format": true, "width": true,
-		"portfolio": true, "all": true, "sweep": true, "sweep-out": true,
-		"shrink-dir": true, "topology": true, "failed-links": true,
-		"sweep-topology": true, "sweep-preempt": true,
-		"preempt": true, "max-segments": true, "resume-cost": true,
-	}
 	ignoredBySweep := map[string]bool{
 		"bench": true, "cpu": true, "procs": true, "reuse": true, "power": true,
 		"bist": true, "variant": true, "priority": true, "exclusive-links": true,
 		"app": true, "wrapper": true, "verify": true, "format": true, "width": true,
-		"portfolio": true, "all": true, "bench-json": true, "topology": true,
+		"portfolio": true, "all": true, "topology": true,
 		"failed-links": true, "preempt": true, "max-segments": true, "resume-cost": true,
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -161,8 +147,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "noctest: -%s has no effect with -sweep: scenarios and option regimes are drawn by internal/verify\n", f.Name)
 		case c.sweep > 0:
 			// -sweep wins the mode dispatch; no other mode's notices apply.
-		case c.benchJSON != "" && ignoredByBenchJSON[f.Name]:
-			fmt.Fprintf(os.Stderr, "noctest: -%s has no effect with -bench-json: it measures the canonical leon/full-reuse/power=0.5 configuration\n", f.Name)
 		case (c.portfolio || c.all) && (f.Name == "variant" || f.Name == "priority"):
 			fmt.Fprintf(os.Stderr, "noctest: -%s has no effect with -portfolio/-all: every portfolio strategy sets its own rule\n", f.Name)
 		}
@@ -220,9 +204,6 @@ func (c config) dispatch() error {
 	}
 	if c.sweep > 0 {
 		return runSweep(ctx, c)
-	}
-	if c.benchJSON != "" {
-		return runBenchJSON(ctx, c)
 	}
 	if c.serveURL != "" {
 		return runServe(ctx, c)
@@ -482,8 +463,8 @@ func runServe(ctx context.Context, c config) error {
 	return nil
 }
 
-// gridBenchmarks returns the benchmark restriction for -all and
-// -bench-json: every embedded benchmark by default, or the
+// gridBenchmarks returns the benchmark restriction for -all: every
+// embedded benchmark by default, or the
 // comma-separated -bench list (embedded names only; whitespace and
 // empty elements are dropped) when the flag was given explicitly.
 func (c config) gridBenchmarks() []string {
@@ -509,37 +490,6 @@ func runGrid(ctx context.Context, c config) error {
 		return err
 	}
 	fmt.Print(report.RenderGrid(rows))
-	return nil
-}
-
-// runBenchJSON measures the portfolio on each benchmark and writes the
-// machine-readable perf trajectory.
-func runBenchJSON(ctx context.Context, c config) error {
-	bench, err := report.RunScheduleBench(ctx, c.gridBenchmarks(), c.seed, c.workers)
-	if err != nil {
-		return err
-	}
-	// Refreshing an existing trajectory preserves the hand-maintained
-	// baseline blocks (and any other keys the generator does not own).
-	existing, err := os.ReadFile(c.benchJSON)
-	if err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	f, err := os.Create(c.benchJSON)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteMergedJSON(f, existing); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	for _, r := range bench.Records {
-		fmt.Printf("%-8s best %10d cycles (%s), %12d ns per ScheduleBest\n",
-			r.Benchmark, r.BestMakespan, r.BestScheduler, r.NsPerScheduleBest)
-	}
 	return nil
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"noctest/internal/core"
 	"noctest/internal/itc02"
-	"noctest/internal/report"
 	"noctest/internal/soc"
 	"noctest/internal/verify"
 )
@@ -99,61 +98,6 @@ func TestRunGridRestricted(t *testing.T) {
 	// Default grid: 2 power fractions x 2 reuse counts x 2 link modes.
 	if rows != 8 {
 		t.Errorf("got %d d695 grid rows, want 8:\n%s", rows, out)
-	}
-}
-
-// TestRunBenchJSON drives -bench-json and checks the written document
-// parses and carries one record with plausible fields.
-func TestRunBenchJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_schedule.json")
-	_, err := capture(t, func() error {
-		return run(config{bench: "d695", benchSet: true, cpu: "leon",
-			bist: 1, seed: 7, benchJSON: path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc report.ScheduleBench
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("bench json does not parse: %v\n%s", err, data)
-	}
-	if len(doc.Records) != 1 || doc.Records[0].Benchmark != "d695" {
-		t.Fatalf("unexpected records: %+v", doc.Records)
-	}
-	r := doc.Records[0]
-	if r.BestMakespan <= 0 || r.NsPerScheduleBest <= 0 || r.BestScheduler == "" {
-		t.Errorf("implausible record: %+v", r)
-	}
-	if doc.Seed != 7 {
-		t.Errorf("seed %d, want 7", doc.Seed)
-	}
-
-	// Refreshing in place preserves keys the generator does not own —
-	// the committed file's hand-maintained baseline blocks.
-	tagged := strings.Replace(string(data), "{\n", "{\n  \"baseline_hand_block\": {\"keep\": true},\n", 1)
-	if err := os.WriteFile(path, []byte(tagged), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = capture(t, func() error {
-		return run(config{bench: "d695", benchSet: true, cpu: "leon",
-			bist: 1, seed: 7, benchJSON: path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "\"baseline_hand_block\"") {
-		t.Errorf("-bench-json clobbered a hand-maintained block:\n%s", data)
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("merged bench json does not parse: %v", err)
 	}
 }
 

@@ -115,9 +115,8 @@ func (mc *modelCache) dropEntry(key string, el *list.Element) {
 	mc.mu.Unlock()
 }
 
-// Bypass compiles without consulting or filling the cache — the cold
-// regime the load benchmark measures — keeping the compile counter
-// accurate.
+// Bypass compiles without consulting or filling the cache (?cache=no,
+// the cold regime), keeping the compile counter accurate.
 func (mc *modelCache) Bypass(compile func() (*core.Model, error)) (*core.Model, error) {
 	mc.bypassed.Add(1)
 	mc.compiles.Add(1)

@@ -19,7 +19,6 @@
 // Usage:
 //
 //	noctestd -addr :8080 -store noctestd.journal
-//	noctestd -loadbench -loadbench-requests 3072 -loadbench-concurrency 1024
 package main
 
 import (
@@ -51,13 +50,6 @@ func main() {
 		storePath      = flag.String("store", "", "journal complete results to this file for crash-safe memoization (empty: disabled)")
 		storeSync      = flag.Bool("store-sync", false, "fsync the result journal after every append")
 		faultSpec      = flag.String("fault-spec", "", "enable the seeded fault injector with this spec (chaos drills only; see internal/fault)")
-
-		loadbench  = flag.Bool("loadbench", false, "run the load benchmark against an in-process server instead of serving")
-		lbRequests = flag.Int("loadbench-requests", 3072, "load benchmark: total requests per phase")
-		lbConc     = flag.Int("loadbench-concurrency", 1024, "load benchmark: concurrent in-flight requests")
-		lbSearch   = flag.String("loadbench-search", "quick", "load benchmark: per-request portfolio (quick or full)")
-		lbSeed     = flag.Int64("loadbench-seed", 1, "load benchmark: search seed")
-		lbOut      = flag.String("loadbench-out", "BENCH_serve.json", "load benchmark: output document")
 	)
 	flag.Parse()
 	if err := run(serverConfig{
@@ -68,19 +60,13 @@ func main() {
 		defaultTimeout: *defaultTimeout,
 		maxTimeout:     *maxTimeout,
 		drainTimeout:   *drainTimeout,
-	}, *addr, *storePath, *storeSync, *faultSpec, *loadbench, loadbenchConfig{
-		requests:    *lbRequests,
-		concurrency: *lbConc,
-		search:      *lbSearch,
-		seed:        *lbSeed,
-		out:         *lbOut,
-	}); err != nil {
+	}, *addr, *storePath, *storeSync, *faultSpec); err != nil {
 		fmt.Fprintf(os.Stderr, "noctestd: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(scfg serverConfig, addr, storePath string, storeSync bool, faultSpec string, bench bool, lb loadbenchConfig) error {
+func run(scfg serverConfig, addr, storePath string, storeSync bool, faultSpec string) error {
 	if scfg.defaultTimeout < 0 || scfg.maxTimeout < 0 || scfg.drainTimeout < 0 {
 		return fmt.Errorf("invalid timeout configuration: deadlines must be positive")
 	}
@@ -103,19 +89,6 @@ func run(scfg serverConfig, addr, storePath string, storeSync bool, faultSpec st
 			storePath, st.Recovered, st.TruncatedBytes)
 		scfg.store = store
 	}
-	if bench {
-		if lb.search != "quick" && lb.search != "full" {
-			return fmt.Errorf("invalid -loadbench-search %q: want quick or full", lb.search)
-		}
-		doc, err := runLoadbench(scfg, lb)
-		if doc != nil {
-			if werr := writeLoadbench(doc, lb); werr != nil && err == nil {
-				err = werr
-			}
-		}
-		return err
-	}
-
 	srv := newServer(scfg)
 	hs := &http.Server{
 		Addr:              addr,

@@ -891,8 +891,8 @@ func (s *server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	flush()
 }
 
-// statsResponse is the /stats document; the load benchmark diffs it
-// around each phase.
+// statsResponse is the /stats document; the benchmark module diffs
+// its cache, pool, request and memo counters around each phase.
 type statsResponse struct {
 	Cache struct {
 		Entries   int    `json:"entries"`

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -107,6 +109,61 @@ func TestScheduleCacheHitMiss(t *testing.T) {
 	}
 	if st.Requests.OK != 3 {
 		t.Errorf("ok count = %d, want 3", st.Requests.OK)
+	}
+}
+
+// TestLoadbenchSmoke puts the serving contract under concurrent load
+// over the paper's trio: 8 requests in flight at once all answer 200;
+// with cache=no each one compiles, and once the trio is warm each one
+// is a hit that compiles nothing.
+func TestLoadbenchSmoke(t *testing.T) {
+	const inFlight = 8
+	// The queue parks a whole concurrent burst, so none is shed with 429.
+	s := newServer(serverConfig{queueDepth: inFlight})
+	trio := []struct{ query, body string }{
+		{"procs=6&cpu=leon&power=0.5&bist=3&search=quick", benchBody(t, "d695")},
+		{"procs=8&cpu=leon&power=0.5&bist=3&search=quick", benchBody(t, "p22810")},
+		{"procs=8&cpu=leon&power=0.5&bist=3&search=quick", benchBody(t, "p93791")},
+	}
+	type cacheDelta struct{ Hits, Misses, Bypassed, Compiles uint64 }
+	burst := func(phase, suffix string) cacheDelta {
+		t.Helper()
+		before := s.stats().Cache
+		codes := make([]int, inFlight)
+		var wg sync.WaitGroup
+		for i := range codes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := trio[i%len(trio)]
+				codes[i] = post(s, r.query+suffix, r.body).Code
+			}()
+		}
+		wg.Wait()
+		for i, code := range codes {
+			if code != 200 {
+				t.Errorf("%s burst: request %d answered %d, want 200", phase, i, code)
+			}
+		}
+		after := s.stats().Cache
+		return cacheDelta{
+			Hits:     after.Hits - before.Hits,
+			Misses:   after.Misses - before.Misses,
+			Bypassed: after.Bypassed - before.Bypassed,
+			Compiles: after.Compiles - before.Compiles,
+		}
+	}
+	if d := burst("bypass", "&cache=no"); d.Compiles != inFlight || d.Bypassed != inFlight || d.Hits != 0 || d.Misses != 0 {
+		t.Errorf("bypass burst counters %+v, want %d compiles and bypasses, no hits or misses", d, inFlight)
+	}
+	for _, r := range trio {
+		decodeSchedule(t, post(s, r.query, r.body))
+	}
+	if d := burst("warm", ""); d.Hits != inFlight || d.Compiles != 0 || d.Misses != 0 {
+		t.Errorf("warm burst counters %+v, want %d hits and no compile or miss", d, inFlight)
+	}
+	if st := s.stats(); st.Requests.OK != 2*inFlight+uint64(len(trio)) {
+		t.Errorf("ok count = %d, want %d", st.Requests.OK, 2*inFlight+len(trio))
 	}
 }
 
@@ -366,7 +423,7 @@ func TestCacheKeyCoversOptions(t *testing.T) {
 // TestStatsSearchCounters pins the /stats search section: after a
 // schedule request the ready cached model's kernel telemetry — orders
 // scored, placements and the delta-hit rate — is aggregated and
-// exported, matching the counter names BENCH_schedule.json uses.
+// exported under the names of the core.SearchStats counters.
 func TestStatsSearchCounters(t *testing.T) {
 	s := newServer(serverConfig{})
 	if resp := decodeSchedule(t, post(s, "search=quick", benchBody(t, "d695"))); resp.Makespan <= 0 {
@@ -419,17 +476,14 @@ func TestScheduleRejectsUnknownParams(t *testing.T) {
 	if _, err := parseScheduleParams(q, serverConfig{maxTimeout: time.Minute}); err != nil {
 		t.Errorf("every known parameter at once: %v", err)
 	}
-	// The load benchmark's queries, and the query noctest -serve-url
-	// builds, parse as sent.
-	reqs, err := buildMix(loadbenchConfig{search: "full", seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The query noctest -serve-url builds and the trio queries the
+	// benchmark module sends parse as sent, also with a cache bypass.
 	queries := []string{
 		"procs=8&cpu=plasma&topology=torus&failed-links=1&power=0.5&bist=3&reuse=2&exclusive-links=1&app=decompression&max-segments=4&resume-cost=5&search=full&seed=7&timeout=2m0s",
 	}
-	for _, r := range reqs {
-		queries = append(queries, r.query, r.query+"&cache=no")
+	for _, procs := range []int{6, 8} {
+		trio := fmt.Sprintf("procs=%d&cpu=leon&power=0.5&bist=3&search=quick", procs)
+		queries = append(queries, trio, trio+"&cache=no")
 	}
 	for _, raw := range queries {
 		q, err := url.ParseQuery(raw)

@@ -64,7 +64,8 @@ func TestIncumbentTighten(t *testing.T) {
 // kernel's checkpoint replay scores every surviving order exactly.
 // It deliberately does not compare against a portfolio with the
 // incumbent removed: the annealer's incumbent cap is a real search-rule
-// change, gated by the no-regression records in BENCH_schedule.json.
+// change, gated by TestCanonicalMakespansPinned and benchgate's
+// cycles_* quality gate.
 func TestBoundSoundnessOnBenchmarks(t *testing.T) {
 	for _, benchName := range itc02.BenchmarkNames() {
 		benchName := benchName

@@ -191,7 +191,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, order []int, bound int) (ms in
 	}
 	k := e.divergence(order)
 	e.m.stats.orders.Add(1)
-	e.m.stats.recordLocality(k, len(order))
 	e.m.stats.replayed.Add(uint64(k))
 
 	if e.cps[k].makespan > bound {
@@ -212,6 +211,9 @@ func (e *Evaluator) Evaluate(ctx context.Context, order []int, bound int) (ms in
 	}
 
 	makespan := e.rewind(k)
+	// Every placement made counts, also on a failed or cancelled pass.
+	placed := 0
+	defer func() { e.m.stats.placed.Add(uint64(placed)) }()
 	for i := k; i < len(order); i++ {
 		if err := ctx.Err(); err != nil {
 			e.commitPrefix(order, i)
@@ -222,6 +224,7 @@ func (e *Evaluator) Evaluate(ctx context.Context, order []int, bound int) (ms in
 			e.commitPrefix(order, i)
 			return 0, false, err
 		}
+		placed++
 		e.marks[i+1] = len(e.links)
 		if end > makespan {
 			makespan = end
@@ -229,7 +232,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, order []int, bound int) (ms in
 		e.capture(i+1, makespan)
 		if makespan > bound {
 			e.m.stats.pruned.Add(1)
-			e.m.stats.placed.Add(uint64(i + 1 - k))
 			e.commitPrefix(order, i+1)
 			return makespan, true, nil
 		}
@@ -238,7 +240,6 @@ func (e *Evaluator) Evaluate(ctx context.Context, order []int, bound int) (ms in
 		e.m.stats.deltaHits.Add(1)
 	}
 	e.commitPrefix(order, len(order))
-	e.m.stats.placed.Add(uint64(len(order) - k))
 	return makespan, false, nil
 }
 

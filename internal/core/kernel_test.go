@@ -234,9 +234,10 @@ func TestEvaluatorAllocsZero(t *testing.T) {
 	}
 }
 
-// TestSearchStatsAccumulate checks the telemetry the bench trajectory
-// reports: evaluations count orders, prefix reuse lands in the replayed
-// counter and the locality histogram, and pruning is visible.
+// TestSearchStatsAccumulate checks the telemetry the benchmark's
+// core.search.* metrics report: evaluations count orders, prefix reuse
+// lands in the replayed counter, pruning is visible, and a failed pass
+// keeps the placements it made.
 func TestSearchStatsAccumulate(t *testing.T) {
 	sys := buildSystem(t, "d695", 6, soc.Leon())
 	m, err := Compile(sys, Options{})
@@ -266,18 +267,8 @@ func TestSearchStatsAccumulate(t *testing.T) {
 	if st.Orders < 3 {
 		t.Errorf("orders %d, want >= 3", st.Orders)
 	}
-	if st.Replayed == 0 {
-		t.Error("no placements were replayed from checkpoints despite a tail swap")
-	}
-	if st.Locality[0] == 0 {
-		t.Error("cold evaluation not recorded in locality bucket 0")
-	}
-	var tail uint64
-	for _, c := range st.Locality[localityBuckets/2:] {
-		tail += c
-	}
-	if tail == 0 {
-		t.Error("tail swap not recorded in the upper locality buckets")
+	if st.Replayed < uint64(n-2) {
+		t.Errorf("replayed %d placements from checkpoints, want >= %d for a tail swap", st.Replayed, n-2)
 	}
 
 	// DeltaHits counts the answers that place nothing: a resubmitted
@@ -296,5 +287,17 @@ func TestSearchStatsAccumulate(t *testing.T) {
 	d := m.SearchStats().Sub(before)
 	if d.DeltaHits != 2 || d.Placed != 0 {
 		t.Errorf("zero-placement answers: delta hits %d, placed %d; want 2 and 0", d.DeltaHits, d.Placed)
+	}
+
+	// A failed pass still counts the placements it made: an order that
+	// repeats a core at position 2 places positions 0 and 1, then fails.
+	bad := append([]int(nil), m.DefaultOrder()...)
+	bad[2] = bad[0]
+	before = m.SearchStats()
+	if _, err := m.Makespan(ctx, LookaheadFastestFinish, bad); err == nil {
+		t.Fatal("order repeating a core accepted")
+	}
+	if d := m.SearchStats().Sub(before); d.Orders != 1 || d.Placed != 2 {
+		t.Errorf("failed pass: orders %d, placed %d; want 1 and 2", d.Orders, d.Placed)
 	}
 }

@@ -84,25 +84,6 @@ type searchCounters struct {
 	placed    atomic.Uint64
 	replayed  atomic.Uint64
 	deltaHits atomic.Uint64
-	locality  [localityBuckets]atomic.Uint64
-}
-
-// localityBuckets is the resolution of the move-locality histogram: one
-// bucket per decile of the order a pass replays from.
-const localityBuckets = 10
-
-// recordLocality buckets one evaluation by the fraction of the order it
-// could skip: start is the first position actually replayed (0 for a
-// cold full replay), n the order length.
-func (c *searchCounters) recordLocality(start, n int) {
-	b := 0
-	if n > 0 {
-		b = start * localityBuckets / n
-		if b >= localityBuckets {
-			b = localityBuckets - 1
-		}
-	}
-	c.locality[b].Add(1)
 }
 
 // SearchStats is a snapshot of a model's cumulative search telemetry.
@@ -112,7 +93,8 @@ type SearchStats struct {
 	Orders uint64
 	// Pruned counts passes aborted early by an incumbent bound.
 	Pruned uint64
-	// Placed counts core placements actually evaluated.
+	// Placed counts core placements actually evaluated, also those of
+	// passes that later fail or are cancelled.
 	Placed uint64
 	// Replayed counts core placements restored from checkpoints instead
 	// of being re-evaluated — the work the incremental kernel avoided.
@@ -123,11 +105,6 @@ type SearchStats struct {
 	// meaning: it once counted the windowed splice's fast-forwards, and
 	// it is kept because external readers key on it.)
 	DeltaHits uint64
-	// Locality is the move-locality histogram: Locality[d] counts the
-	// evaluations whose replay started in decile d of the order, so
-	// bucket 0 holds cold full replays and bucket 9 the most local
-	// suffix moves.
-	Locality [localityBuckets]uint64
 }
 
 // Add accumulates o into s field by field. Aggregators (the bench
@@ -139,9 +116,6 @@ func (s *SearchStats) Add(o SearchStats) {
 	s.Placed += o.Placed
 	s.Replayed += o.Replayed
 	s.DeltaHits += o.DeltaHits
-	for i := range s.Locality {
-		s.Locality[i] += o.Locality[i]
-	}
 }
 
 // Sub returns the field-wise difference s - o: the telemetry accrued
@@ -153,28 +127,21 @@ func (s SearchStats) Sub(o SearchStats) SearchStats {
 	d.Placed -= o.Placed
 	d.Replayed -= o.Replayed
 	d.DeltaHits -= o.DeltaHits
-	for i := range d.Locality {
-		d.Locality[i] -= o.Locality[i]
-	}
 	return d
 }
 
 // SearchStats returns a snapshot of the model's cumulative search
 // telemetry. Counters only ever grow; diff two snapshots to meter one
-// run. The buckets are read individually, so a snapshot taken while
+// run. The counters are read individually, so a snapshot taken while
 // passes are in flight is approximate.
 func (m *Model) SearchStats() SearchStats {
-	st := SearchStats{
+	return SearchStats{
 		Orders:    m.stats.orders.Load(),
 		Pruned:    m.stats.pruned.Load(),
 		Placed:    m.stats.placed.Load(),
 		Replayed:  m.stats.replayed.Load(),
 		DeltaHits: m.stats.deltaHits.Load(),
 	}
-	for i := range st.Locality {
-		st.Locality[i] = m.stats.locality[i].Load()
-	}
-	return st
 }
 
 // ifaceModel is the immutable record of one test interface.
@@ -751,10 +718,12 @@ func (m *Model) run(ctx context.Context, v Variant, order []int, bound int, entr
 	defer m.pool.Put(s)
 	s.reset(m)
 	m.stats.orders.Add(1)
-	m.stats.recordLocality(0, len(order))
+	// Every placement made counts, also on a failed or cancelled pass.
+	placed := 0
+	defer func() { m.stats.placed.Add(uint64(placed)) }()
 
 	makespan := 0
-	for i, ci := range order {
+	for _, ci := range order {
 		if err := ctx.Err(); err != nil {
 			return 0, false, err
 		}
@@ -770,16 +739,15 @@ func (m *Model) run(ctx context.Context, v Variant, order []int, bound int, entr
 		if err != nil {
 			return 0, false, err
 		}
+		placed++
 		if end > makespan {
 			makespan = end
 		}
 		if makespan > bound {
 			m.stats.pruned.Add(1)
-			m.stats.placed.Add(uint64(i + 1))
 			return makespan, true, nil
 		}
 	}
-	m.stats.placed.Add(uint64(len(order)))
 	return makespan, false, nil
 }
 

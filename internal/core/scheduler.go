@@ -68,8 +68,8 @@ type Candidate struct {
 // holds, and ties lose to the earlier strategy anyway. The annealer
 // instead folds the incumbent into its acceptance rule — a deliberate,
 // deterministic narrowing of its uphill exploration, gated by the
-// no-regression records in BENCH_schedule.json rather than claimed to
-// be outcome-neutral. In both cases "aborted" must coincide exactly
+// pinned makespans of TestCanonicalMakespansPinned and benchgate's
+// quality gate rather than claimed to be outcome-neutral. In both cases "aborted" must coincide exactly
 // with "the fully computed makespan would have been discarded", which
 // is what the bound-soundness property test asserts.
 type Incumbent struct {
@@ -403,8 +403,8 @@ func (a AnnealingScheduler) Search(ctx context.Context, m *Model, inc *Incumbent
 		// neighbour costs only the replay from its earlier swapped
 		// position, so most steps swap inside a small tail window (the
 		// cheap, local moves) and the rest swap uniformly for
-		// ergodicity. The move-locality histogram in the bench
-		// trajectory records the resulting replay depths.
+		// ergodicity. The benchmark's core.search.replayed_per_order
+		// trace metric reports the resulting prefix reuse.
 		var i, j int
 		if window > 0 && rng.Float64() < annealLocalFraction {
 			w := 2 + rng.Intn(window)
@@ -477,8 +477,8 @@ func ListRules() []Scheduler {
 // pool is always quality-monotone — the portfolio takes the best over
 // members and every prior member keeps its seed and budget — and it
 // amortizes the fixed compile-and-list cost over more search, which is
-// what the quality-path orders/s figure in BENCH_schedule.json
-// measures.
+// what BenchmarkPortfolio's orders_per_sec and ns/op, gated by
+// cmd/benchgate, measure.
 func DefaultPortfolio(seed int64) []Scheduler {
 	return append(ListRules(),
 		RandomRestartScheduler{Variant: LookaheadFastestFinish, Seed: seed},

@@ -1,11 +1,45 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"noctest/internal/core"
+	"noctest/internal/itc02"
 )
+
+// TestCanonicalMakespansPinned is the fixed-seed identity guard: on the
+// canonical reproduction cell with the default portfolio at seed 1, the
+// best makespans of the three embedded benchmarks are exact constants.
+// Any engine refactor that perturbs placement — segment handling,
+// candidate order, tie-breaks — shows up here as an exact diff rather
+// than as noise in a timing figure.
+func TestCanonicalMakespansPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("schedules all three embedded benchmarks")
+	}
+	want := map[string]int{"d695": 118980, "p22810": 373924, "p93791": 506455}
+	pf := core.Portfolio{Schedulers: core.DefaultPortfolio(1), Workers: 1}
+	for _, name := range itc02.BenchmarkNames() {
+		sys, opts, err := CanonicalSystem(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.Compile(sys, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := pf.ScheduleModel(context.Background(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Makespan() != want[name] {
+			t.Errorf("%s: canonical seed-1 makespan %d, want the pinned %d",
+				name, res.Makespan(), want[name])
+		}
+	}
+}
 
 func TestPaperPanels(t *testing.T) {
 	specs := PaperPanels()

@@ -1031,8 +1031,9 @@ feed:
 }
 
 // benchmarkGaps schedules the embedded benchmarks on the canonical
-// reproduction cell (report.CanonicalSystem, the cell tracked in
-// BENCH_schedule.json) and records makespan, floor and their ratio.
+// reproduction cell (report.CanonicalSystem, the cell
+// TestCanonicalMakespansPinned pins) and records makespan, floor and
+// their ratio.
 func benchmarkGaps(ctx context.Context, seed int64, workers int) ([]BenchmarkGap, error) {
 	pf := core.Portfolio{Schedulers: core.DefaultPortfolio(seed), Workers: workers}
 	var gaps []BenchmarkGap
